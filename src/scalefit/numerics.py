@@ -131,7 +131,8 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
     `x0` has shape (K, d). Each row is minimized with an inverse-Hessian
     BFGS update and Armijo backtracking. Accepted steps are monotone
     non-increasing in the objective. Returns (X, f, iterations, converged,
-    grad_norm) with leading dimension K.
+    grad_norm) with leading dimension K. Raises ValueError if the objective
+    is not finite at one of the initial points.
 
     A row's inverse Hessian is updated only when the step s and gradient
     change y satisfy the curvature condition s.y > 1e-10 ||s|| ||y||. The
@@ -139,22 +140,41 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
     and keeps updating as the objective and its gradient approach zero. A
     row whose update is not finite keeps its previous inverse Hessian.
     """
+
+    def fg_rows(P, rows, need_grad):
+        return fg(P) if need_grad else fg(P, need_grad=False)
+
+    X, f, iters, converged, gnorm, started = _bfgs_rows(fg_rows, x0, cfg)
+    if not np.all(started):
+        raise ValueError("objective is not finite at an initial point")
+    return X, f, iters, converged, gnorm
+
+
+def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
+    """BFGS core of `minimize_batch` for objectives that depend on the row.
+
+    `fg(P, rows, need_grad)` evaluates the rows `rows` of `x0` (indices into
+    its first axis) at the parameters P, one row of P per index. A row whose
+    objective is not finite at its initial point is left where it is and
+    never stepped; the other rows run exactly as they would without it.
+    Returns (X, f, iterations, converged, grad_norm, started), where
+    `started` is False for those rows.
+    """
     X = np.array(x0, dtype=float)
     if X.ndim != 2:
         raise ValueError("x0 must have shape (K, d)")
     K, d = X.shape
-    f, g = fg(X)
+    f, g = fg(X, np.arange(K), True)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("objective is not finite at an initial point")
+    started = np.isfinite(f)
 
     eye = np.eye(d)
     H = np.repeat(eye[None, :, :], K, axis=0)
     iters = np.zeros(K, dtype=int)
     gnorm = np.max(np.abs(g), axis=1) if d else np.zeros(K)
-    converged = gnorm <= cfg.grad_tol
-    active = ~converged
+    converged = started & (gnorm <= cfg.grad_tol)
+    active = started & ~converged
 
     for _ in range(cfg.max_iters):
         idx = np.flatnonzero(active)
@@ -182,7 +202,7 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
             if sj.size == 0:
                 break
             cand = Xi[sj] + t[sj, None] * p[sj]
-            fc = np.asarray(fg(cand, need_grad=False), dtype=float)
+            fc = np.asarray(fg(cand, idx[sj], False), dtype=float)
             ok = np.isfinite(fc) & (fc <= fi[sj] + cfg.armijo_c * t[sj] * slope[sj])
             hit = sj[ok]
             Xnew[hit] = cand[ok]
@@ -193,7 +213,7 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
 
         aj = np.flatnonzero(accepted)
         if aj.size:
-            _, gnew = fg(Xnew[aj])
+            _, gnew = fg(Xnew[aj], idx[aj], True)
             gnew = np.asarray(gnew, dtype=float)
             s = Xnew[aj] - Xi[aj]
             y = gnew - gi[aj]
@@ -240,7 +260,7 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
         active[stalled] = False
         iters[stalled] += 1
 
-    return X, f, iters, converged, gnorm
+    return X, f, iters, converged, gnorm, started
 
 
 def _fd_gradient(f_only, x: np.ndarray, step: float) -> np.ndarray:

@@ -13,10 +13,10 @@ nonnegative by construction.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -151,131 +151,23 @@ class JointFit:
         }
 
 
-def _quiet(fg):
-    """Silence overflow/invalid warnings from diverging grid starts.
-
-    Non-finite objective rows are masked out by the batched minimizer,
-    so the intermediate NaN/inf arithmetic is expected and harmless.
-    """
-
-    @functools.wraps(fg)
-    def wrapped(P, need_grad=True):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fg(P, need_grad=need_grad)
-
-    return wrapped
-
-
 def _clean_L(L: np.ndarray) -> np.ndarray:
     if np.any(L <= 0) or np.any(L <= L_FLOOR):
         n_low = int(np.sum(L <= L_FLOOR))
         warnings.warn(
             f"{n_low} misalignment value(s) <= {L_FLOOR} clamped to {L_FLOOR}",
-            stacklevel=3,
+            stacklevel=5,
         )
         L = np.maximum(L, L_FLOOR)
     return L
 
 
-def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
-    hp = HuberParams(delta)
-
-    @_quiet
-    def fg(P, need_grad=True):
-        e, a, al = P[:, 0:1], P[:, 1:2], P[:, 2:3]
-        t = a - al * logX
-        s = np.logaddexp(t, e)
-        r = s - logL
-        fv = np.sum(huber(r, hp), axis=1)
-        if not need_grad:
-            return fv
-        dh = huber_deriv(r, hp)
-        w = np.exp(t - s)
-        we = np.exp(e - s)
-        ge = np.sum(dh * we, axis=1)
-        ga = np.sum(dh * w, axis=1)
-        gal = -np.sum(dh * w * logX, axis=1)
-        return fv, np.stack([ge, ga, gal], axis=1)
-
-    return fg
+# Each form's data step validates the points exactly as its fit_* function
+# documents (raising ValueError) and returns the per-point arrays its
+# objective reads, each of shape (n,).
 
 
-def _shifted_objective(X: np.ndarray, logL: np.ndarray, delta: float, freeze_lambda: bool):
-    hp = HuberParams(delta)
-    ln10 = np.log(10.0)
-
-    @_quiet
-    def fg(P, need_grad=True):
-        e, a, al, lam = P[:, 0:1], P[:, 1:2], P[:, 2:3], P[:, 3:4]
-        shift = np.power(10.0, lam)
-        Xs = X + shift
-        logXs = np.log(Xs)
-        t = a - al * logXs
-        s = np.logaddexp(t, e)
-        r = s - logL
-        fv = np.sum(huber(r, hp), axis=1)
-        if not need_grad:
-            return fv
-        dh = huber_deriv(r, hp)
-        w = np.exp(t - s)
-        we = np.exp(e - s)
-        ge = np.sum(dh * we, axis=1)
-        ga = np.sum(dh * w, axis=1)
-        gal = -np.sum(dh * w * logXs, axis=1)
-        if freeze_lambda:
-            glam = np.zeros_like(ge)
-        else:
-            glam = -np.sum(dh * w * al * (shift * ln10) / Xs, axis=1)
-        return fv, np.stack([ge, ga, gal, glam], axis=1)
-
-    return fg
-
-
-def _joint_objective(logN: np.ndarray, logD: np.ndarray, logL: np.ndarray, delta: float):
-    hp = HuberParams(delta)
-
-    @_quiet
-    def fg(P, need_grad=True):
-        e, a, al, b, be = (P[:, i : i + 1] for i in range(5))
-        tn = a - al * logN
-        td = b - be * logD
-        s = np.logaddexp(np.logaddexp(tn, td), e)
-        r = s - logL
-        fv = np.sum(huber(r, hp), axis=1)
-        if not need_grad:
-            return fv
-        dh = huber_deriv(r, hp)
-        wn = np.exp(tn - s)
-        wd = np.exp(td - s)
-        we = np.exp(e - s)
-        g = np.stack(
-            [
-                np.sum(dh * we, axis=1),
-                np.sum(dh * wn, axis=1),
-                -np.sum(dh * wn * logN, axis=1),
-                np.sum(dh * wd, axis=1),
-                -np.sum(dh * wd * logD, axis=1),
-            ],
-            axis=1,
-        )
-        return fv, g
-
-    return fg
-
-
-def _select_best(Xs, fs, conv, inits, alpha_col: int):
-    """Lowest objective; ties by smaller alpha, then grid order."""
-    finite = np.isfinite(fs)
-    if not np.any(finite):
-        raise RuntimeError("all grid minimizations diverged to non-finite objectives")
-    fs = np.where(finite, fs, np.inf)
-    order = np.lexsort((np.arange(len(fs)), Xs[:, alpha_col], fs))
-    k = int(order[0])
-    return Xs[k], float(fs[k]), bool(conv[k]), inits[k]
-
-
-def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:
-    """Fit L = E + A X^-alpha over the initialization grid; keep the best."""
+def _xl_points(points, x_kind):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2) of (X, L)")
@@ -286,80 +178,24 @@ def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -
         raise ValueError("X values must be positive")
     if len(X) < 3 or np.unique(X).size < 3:
         raise ValueError("need at least 3 points with 3 distinct X values")
-    scale = cfg.rescale.factor(x_kind)
-    Xs = X / scale
+    return X, L
+
+
+def _power_data(points, cfg: FitConfig, x_kind: str):
+    X, L = _xl_points(points, x_kind)
+    Xs = X / cfg.rescale.factor(x_kind)
     L = _clean_L(L)
-
-    fg = _power_objective(np.log(Xs)[None, :], np.log(L)[None, :], cfg.huber.delta)
-    inits = list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha))
-    P0 = np.array(inits, dtype=float)
-    P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
-    best, obj, converged, init = _select_best(P, fvals, conv, inits, alpha_col=2)
-
-    E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
-    return PowerLawFit(
-        E=E,
-        A=A,
-        alpha=alpha,
-        objective=obj,
-        init_used=init,
-        degenerate=(A < DEGENERATE_EPS or alpha < DEGENERATE_EPS),
-        x_kind=x_kind,
-        x_scale=scale,
-        converged=converged,
-        n_points=len(X),
-    )
+    return np.log(Xs), np.log(L)
 
 
-def fit_shifted_power_law(
-    points,
-    cfg: FitConfig = FitConfig(),
-    x_kind: str = "flops",
-    freeze_lambda: bool = False,
-) -> ShiftedPowerLawFit:
-    """Fit L = E + A (X + 10^lambda)^-alpha.
-
-    lambda is seeded from the grid and optimized jointly by default;
-    freeze_lambda keeps each grid value fixed during descent.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (n, 2) of (X, L)")
-    X, L = pts[:, 0], pts[:, 1]
-    if x_kind not in X_KINDS:
-        raise ValueError(f"unknown x_kind {x_kind!r}")
-    if np.any(X <= 0):
-        raise ValueError("X values must be positive")
-    if len(X) < 3 or np.unique(X).size < 3:
-        raise ValueError("need at least 3 points with 3 distinct X values")
-    scale = cfg.rescale.factor(x_kind)
-    Xs = X / scale
+def _shifted_data(points, cfg: FitConfig, x_kind: str):
+    X, L = _xl_points(points, x_kind)
+    Xs = X / cfg.rescale.factor(x_kind)
     L = _clean_L(L)
-
-    fg = _shifted_objective(Xs[None, :], np.log(L)[None, :], cfg.huber.delta, freeze_lambda)
-    inits = list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, cfg.grid_lambda))
-    P0 = np.array(inits, dtype=float)
-    P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
-    best, obj, converged, init = _select_best(P, fvals, conv, inits, alpha_col=2)
-
-    E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
-    return ShiftedPowerLawFit(
-        E=E,
-        A=A,
-        alpha=alpha,
-        lam=float(best[3]),
-        objective=obj,
-        init_used=init,
-        degenerate=(A < DEGENERATE_EPS or alpha < DEGENERATE_EPS),
-        x_kind=x_kind,
-        x_scale=scale,
-        converged=converged,
-        n_points=len(X),
-    )
+    return Xs, np.log(L)
 
 
-def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
-    """Fit L = E + A N^-alpha + B D^-beta; b/beta grids mirror a/alpha."""
+def _joint_data(points, cfg: FitConfig, x_kind: str):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3) of (N, D, L)")
@@ -373,19 +209,141 @@ def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
     Ns = N / cfg.rescale.n_scale
     Ds = D / cfg.rescale.d_scale
     L = _clean_L(L)
+    return np.log(Ns), np.log(Ds), np.log(L)
 
-    fg = _joint_objective(
-        np.log(Ns)[None, :], np.log(Ds)[None, :], np.log(L)[None, :], cfg.huber.delta
-    )
-    grid_b = cfg.grid_b if cfg.grid_b is not None else cfg.grid_a
-    grid_beta = cfg.grid_beta if cfg.grid_beta is not None else cfg.grid_alpha
-    inits = list(
-        itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, grid_b, grid_beta)
-    )
-    P0 = np.array(inits, dtype=float)
-    P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
-    best, obj, converged, init = _select_best(P, fvals, conv, inits, alpha_col=2)
 
+# Each form's objective evaluates K parameter rows P (K, d) against data
+# arrays of shape (1, n), shared by every row, or (K, n), one row of data
+# per parameter row. Returns values (K,), and gradients (K, d) if need_grad.
+
+
+def _power_fg(P, logX, logL, hp, need_grad):
+    e, a, al = P[:, 0:1], P[:, 1:2], P[:, 2:3]
+    t = a - al * logX
+    s = np.logaddexp(t, e)
+    r = s - logL
+    fv = np.sum(huber(r, hp), axis=1)
+    if not need_grad:
+        return fv
+    dh = huber_deriv(r, hp)
+    w = np.exp(t - s)
+    we = np.exp(e - s)
+    ge = np.sum(dh * we, axis=1)
+    ga = np.sum(dh * w, axis=1)
+    gal = -np.sum(dh * w * logX, axis=1)
+    return fv, np.stack([ge, ga, gal], axis=1)
+
+
+_LN10 = np.log(10.0)
+
+
+def _shifted_fg(P, X, logL, hp, need_grad, freeze_lambda=False):
+    e, a, al, lam = P[:, 0:1], P[:, 1:2], P[:, 2:3], P[:, 3:4]
+    shift = np.power(10.0, lam)
+    Xs = X + shift
+    logXs = np.log(Xs)
+    t = a - al * logXs
+    s = np.logaddexp(t, e)
+    r = s - logL
+    fv = np.sum(huber(r, hp), axis=1)
+    if not need_grad:
+        return fv
+    dh = huber_deriv(r, hp)
+    w = np.exp(t - s)
+    we = np.exp(e - s)
+    ge = np.sum(dh * we, axis=1)
+    ga = np.sum(dh * w, axis=1)
+    gal = -np.sum(dh * w * logXs, axis=1)
+    if freeze_lambda:
+        glam = np.zeros_like(ge)
+    else:
+        glam = -np.sum(dh * w * al * (shift * _LN10) / Xs, axis=1)
+    return fv, np.stack([ge, ga, gal, glam], axis=1)
+
+
+def _joint_fg(P, logN, logD, logL, hp, need_grad):
+    e, a, al, b, be = (P[:, i : i + 1] for i in range(5))
+    tn = a - al * logN
+    td = b - be * logD
+    s = np.logaddexp(np.logaddexp(tn, td), e)
+    r = s - logL
+    fv = np.sum(huber(r, hp), axis=1)
+    if not need_grad:
+        return fv
+    dh = huber_deriv(r, hp)
+    wn = np.exp(tn - s)
+    wd = np.exp(td - s)
+    we = np.exp(e - s)
+    g = np.stack(
+        [
+            np.sum(dh * we, axis=1),
+            np.sum(dh * wn, axis=1),
+            -np.sum(dh * wn * logN, axis=1),
+            np.sum(dh * wd, axis=1),
+            -np.sum(dh * wd * logD, axis=1),
+        ],
+        axis=1,
+    )
+    return fv, g
+
+
+# Overflow/invalid arithmetic from diverging starts is expected: the
+# minimizer masks out non-finite objective rows, so it is silenced here.
+
+
+def _shared_objective(fg, data, delta: float, **kw):
+    """`minimize_batch` objective fg(P, need_grad) on data shared by all rows."""
+    hp = HuberParams(delta)
+
+    def objective(P, need_grad=True):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fg(P, *data, hp, need_grad, **kw)
+
+    return objective
+
+
+def _stacked_objective(fg, data, starts: int, delta: float):
+    """Row-aware objective fg(P, rows, need_grad) over stacked datasets.
+
+    `data` holds arrays of shape (R, n), one row per dataset; batch row r
+    belongs to dataset r // starts.
+    """
+    hp = HuberParams(delta)
+
+    def objective(P, rows, need_grad):
+        owner = rows // starts
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fg(P, *(a[owner] for a in data), hp, need_grad)
+
+    return objective
+
+
+def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
+    """Power-law objective on shared data, log X and log L of shape (1, n)."""
+    return _shared_objective(_power_fg, (logX, logL), delta)
+
+
+def _xl_result(best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
+    """PowerLawFit, or ShiftedPowerLawFit when `best` carries lambda."""
+    E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
+    fields = dict(
+        E=E,
+        A=A,
+        alpha=alpha,
+        objective=obj,
+        init_used=init,
+        degenerate=(A < DEGENERATE_EPS or alpha < DEGENERATE_EPS),
+        x_kind=x_kind,
+        x_scale=cfg.rescale.factor(x_kind),
+        converged=converged,
+        n_points=n_points,
+    )
+    if len(best) == 4:
+        return ShiftedPowerLawFit(lam=float(best[3]), **fields)
+    return PowerLawFit(**fields)
+
+
+def _joint_result(best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
     E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
     B, beta = float(np.exp(best[3])), float(best[4])
     return JointFit(
@@ -405,8 +363,90 @@ def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
         n_scale=cfg.rescale.n_scale,
         d_scale=cfg.rescale.d_scale,
         converged=converged,
-        n_points=len(N),
+        n_points=n_points,
     )
+
+
+def _joint_inits(cfg: FitConfig) -> list:
+    grid_b = cfg.grid_b if cfg.grid_b is not None else cfg.grid_a
+    grid_beta = cfg.grid_beta if cfg.grid_beta is not None else cfg.grid_alpha
+    return list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, grid_b, grid_beta))
+
+
+@dataclass(frozen=True)
+class _Form:
+    """How one curve form is fitted: data -> objective over starts -> result."""
+
+    data: Callable  # (points, cfg, x_kind) -> per-point arrays; validates
+    fg: Callable  # (P, *data, hp, need_grad) -> values[, gradients]
+    inits: Callable  # cfg -> list of initialization tuples
+    result: Callable  # (best, objective, converged, init, cfg, x_kind, n_points) -> fit
+
+
+_FORMS = {
+    "power": _Form(
+        _power_data,
+        _power_fg,
+        lambda cfg: list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha)),
+        _xl_result,
+    ),
+    "shifted": _Form(
+        _shifted_data,
+        _shifted_fg,
+        lambda cfg: list(
+            itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, cfg.grid_lambda)
+        ),
+        _xl_result,
+    ),
+    "joint": _Form(_joint_data, _joint_fg, _joint_inits, _joint_result),
+}
+
+
+def _select_best(Xs, fs, conv, inits):
+    """Lowest objective; ties by smaller alpha (column 2 in every form), then grid order."""
+    finite = np.isfinite(fs)
+    if not np.any(finite):
+        raise RuntimeError("all grid minimizations diverged to non-finite objectives")
+    fs = np.where(finite, fs, np.inf)
+    order = np.lexsort((np.arange(len(fs)), Xs[:, 2], fs))
+    k = int(order[0])
+    return Xs[k], float(fs[k]), bool(conv[k]), inits[k]
+
+
+def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
+    """Validate, minimize from every grid start, keep the best start."""
+    form = _FORMS[kind]
+    data = form.data(points, cfg, x_kind)
+    shared = [a[None, :] for a in data]
+    fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
+    inits = form.inits(cfg)
+    P, fvals, _, conv, _ = minimize_batch(fg, np.array(inits, dtype=float), cfg.optimizer)
+    best, obj, converged, init = _select_best(P, fvals, conv, inits)
+    return form.result(best, obj, converged, init, cfg, x_kind, len(data[0]))
+
+
+def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:
+    """Fit L = E + A X^-alpha over the initialization grid; keep the best."""
+    return _fit("power", points, cfg, x_kind)
+
+
+def fit_shifted_power_law(
+    points,
+    cfg: FitConfig = FitConfig(),
+    x_kind: str = "flops",
+    freeze_lambda: bool = False,
+) -> ShiftedPowerLawFit:
+    """Fit L = E + A (X + 10^lambda)^-alpha.
+
+    lambda is seeded from the grid and optimized jointly by default;
+    freeze_lambda keeps each grid value fixed during descent.
+    """
+    return _fit("shifted", points, cfg, x_kind, freeze_lambda=freeze_lambda)
+
+
+def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
+    """Fit L = E + A N^-alpha + B D^-beta; b/beta grids mirror a/alpha."""
+    return _fit("joint", points, cfg, "flops")
 
 
 def predict(fit, x=None, n=None, d=None):

@@ -1,8 +1,12 @@
 """Bootstrap confidence intervals for curve fits.
 
 Rows are resampled with replacement; each resample index gets its own
-random stream derived from the base seed, so serial and parallel
-execution (and reruns) produce bit-identical results.
+random stream derived from the base seed, so reruns produce bit-identical
+results. All resample indices are drawn first; the resamples are then
+fitted together, many to one batched BFGS run, in chunks of whole
+resamples. Each resample's rows run exactly the arithmetic a fit of that
+resample alone would, so the draws and intervals are the same as fitting
+the resamples one at a time.
 """
 from __future__ import annotations
 
@@ -11,9 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import _bfgs_rows
 from .scaling import (
+    _FORMS,
     FitConfig,
     JointFit,
+    _select_best,
+    _stacked_objective,
     fit_joint,
     fit_power_law,
     fit_shifted_power_law,
@@ -23,6 +31,11 @@ from .scaling import (
 __all__ = ["BootstrapConfig", "BootstrapResult", "bootstrap_fit"]
 
 FIT_KINDS = ("power", "shifted", "joint")
+
+# Upper bound on resamples x starts x points in one batched BFGS run; a
+# chunk always holds at least one resample, so a full start grid per
+# resample runs one resample at a time.
+_CHUNK_ELEMS = 8192
 
 
 @dataclass(frozen=True)
@@ -59,16 +72,56 @@ def _fit_once(points, fit_kind, fit_cfg, x_kind):
     raise ValueError(f"unknown fit_kind {fit_kind!r}; known: {FIT_KINDS}")
 
 
-def _curve_values(fit, grid):
-    out = []
-    for g in grid:
-        if isinstance(fit, JointFit):
-            n, d = g
-            L, _ = predict(fit, n=n, d=d)
-        else:
-            L, _ = predict(fit, x=g)
-        out.append(L)
-    return np.array(out)
+def _curve_values(fit, grid: np.ndarray) -> np.ndarray:
+    """The fitted curve at every grid point: x values, or (n, d) rows for joint."""
+    if isinstance(fit, JointFit):
+        return predict(fit, n=grid[:, 0], d=grid[:, 1])[0]
+    return predict(fit, x=grid)[0]
+
+
+def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
+    """Fit every resample `points[idx]` for idx in `draws`, in batched chunks.
+
+    Returns one fit per draw, or None where fitting that resample alone
+    would raise: its points fail validation, one of its starts is not
+    finite at the initial point, or every start diverges. Only resamples
+    of equal length share a chunk, so no data is padded; each chunk's data
+    is built just before it is fitted.
+    """
+    form = _FORMS[fit_kind]
+    inits = form.inits(cfg)
+    P0 = np.array(inits, dtype=float)
+    starts = len(inits)
+    by_len = {}
+    for i, idx in enumerate(draws):
+        by_len.setdefault(len(idx), []).append(i)
+
+    fits = [None] * len(draws)
+    for n, members in by_len.items():
+        per_chunk = max(1, _CHUNK_ELEMS // (starts * n))
+        for c in range(0, len(members), per_chunk):
+            chunk, datas = [], []
+            for i in members[c : c + per_chunk]:
+                try:
+                    datas.append(form.data(points[draws[i]], cfg, x_kind))
+                except ValueError:
+                    continue
+                chunk.append(i)
+            if not chunk:
+                continue
+            stacked = [np.stack(arrays) for arrays in zip(*datas)]
+            fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
+            X, f, _, conv, _, started = _bfgs_rows(fg, np.tile(P0, (len(chunk), 1)), cfg.optimizer)
+            for j, i in enumerate(chunk):
+                rows = slice(j * starts, (j + 1) * starts)
+                if not np.all(started[rows]):
+                    continue
+                try:
+                    best, obj, converged, init = _select_best(X[rows], f[rows], conv[rows], inits)
+                except RuntimeError:
+                    continue
+                fits[i] = form.result(best, obj, converged, init, cfg, x_kind, n)
+    return fits
 
 
 def _warm_cfg(fit_cfg: FitConfig, fit) -> FitConfig:
@@ -98,6 +151,12 @@ def bootstrap_fit(
     With `cluster_ids`, whole clusters of rows are resampled instead of
     individual rows. `warm_start` refits each resample from the point
     estimate only instead of the full initialization grid.
+
+    The resamples are fitted together, in chunks of batched BFGS runs. The
+    draws, the failed resamples and the intervals are those of fitting each
+    resample alone with the same `fit_*` call: a resample fails, and is left
+    out of the intervals, where that call would raise. More than 20% failed
+    resamples raise RuntimeError.
     """
     points = np.asarray(points, dtype=float)
     point_fit = _fit_once(points, fit_kind, fit_cfg, x_kind)
@@ -110,35 +169,28 @@ def bootstrap_fit(
             raise ValueError("cluster_ids length must match points")
         clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
 
-    children = np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples)
-    param_names = list(point_fit.params())
-    grid = list(bs_cfg.curve_grid)
-
-    param_draws, curve_draws = [], []
-    n_failed = 0
-    for child in children:
+    resample_idx = []
+    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
         rng = np.random.default_rng(child)
         if cluster_ids is None:
-            idx = rng.integers(0, n_rows, size=n_rows)
+            resample_idx.append(rng.integers(0, n_rows, size=n_rows))
         else:
             picks = rng.integers(0, len(clusters), size=len(clusters))
-            idx = np.concatenate([clusters[p] for p in picks])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fit = _fit_once(points[idx], fit_kind, resample_cfg, x_kind)
-        except (ValueError, RuntimeError, FloatingPointError):
-            n_failed += 1
-            continue
-        p = fit.params()
-        param_draws.append([p[k] for k in param_names])
-        if grid:
-            curve_draws.append(_curve_values(fit, grid))
+            resample_idx.append(np.concatenate([clusters[p] for p in picks]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fits = _fit_resamples(points, resample_idx, fit_kind, resample_cfg, x_kind)
+    fits = [fit for fit in fits if fit is not None]
 
+    n_failed = bs_cfg.resamples - len(fits)
     if n_failed > 0.2 * bs_cfg.resamples:
         raise RuntimeError(
             f"{n_failed}/{bs_cfg.resamples} bootstrap refits failed (> 20%)"
         )
+
+    param_names = list(point_fit.params())
+    grid = list(bs_cfg.curve_grid)
+    param_draws = [[fit.params()[k] for k in param_names] for fit in fits]
 
     lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
     hi_q = 100.0 - lo_q
@@ -152,7 +204,8 @@ def bootstrap_fit(
     }
     curve_ci = []
     if grid:
-        cd = np.asarray(curve_draws)
+        grid_arr = np.asarray(grid, dtype=float)
+        cd = np.array([_curve_values(fit, grid_arr) for fit in fits])
         lo = np.percentile(cd, lo_q, axis=0)
         hi = np.percentile(cd, hi_q, axis=0)
         curve_ci = [(grid[j], float(lo[j]), float(hi[j])) for j in range(len(grid))]

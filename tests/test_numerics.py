@@ -14,6 +14,7 @@ from scalefit.numerics import (
     loglog_linreg,
     minimize,
 )
+from scalefit.numerics import _bfgs_rows
 
 HP = HuberParams(1e-3)
 
@@ -173,6 +174,42 @@ class TestMinimize:
             OptimizerConfig(armijo_c=2.0)
         with pytest.raises(ValueError):
             OptimizerConfig(backtrack=1.0)
+
+
+class TestBfgsRows:
+    # Per-row Rosenbrock valleys (a - x)^2 + 100 (y - x^2)^2, scaled by w;
+    # w = inf makes a row's objective non-finite everywhere.
+    A = np.array([1.0, 2.0, -0.5])
+    W = np.array([1.0, np.inf, 3.0])
+    X0 = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0]])
+
+    def fg_for(self, keep):
+        a, w = self.A[keep], self.W[keep]
+
+        def fg(P, rows, need_grad):
+            x, y = P[:, 0], P[:, 1]
+            with np.errstate(invalid="ignore"):
+                v = w[rows] * ((a[rows] - x) ** 2 + 100 * (y - x**2) ** 2)
+                if not need_grad:
+                    return v
+                g = w[rows, None] * np.stack(
+                    [-2 * (a[rows] - x) - 400 * x * (y - x**2), 200 * (y - x**2)], axis=1
+                )
+            return v, g
+
+        return fg
+
+    def test_nonfinite_start_fails_only_its_row(self):
+        cfg = OptimizerConfig(max_iters=2000)
+        X, f, iters, conv, gn, started = _bfgs_rows(self.fg_for([0, 1, 2]), self.X0, cfg)
+        ref = _bfgs_rows(self.fg_for([0, 2]), self.X0[[0, 2]], cfg)
+        assert started.tolist() == [True, False, True]
+        assert not conv[1] and iters[1] == 0
+        assert np.array_equal(X[1], self.X0[1])
+        for got, want in zip((X, f, iters, conv, gn, started), ref):
+            assert np.array_equal(got[[0, 2]], want)
+        assert conv[[0, 2]].all()
+        assert np.allclose(X[[0, 2]], [[1.0, 1.0], [-0.5, 0.25]], atol=1e-6)
 
 
 class TestCheckGradient:

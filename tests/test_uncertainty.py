@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from scalefit.scaling import FitConfig, Rescale
+from scalefit.scaling import (
+    FitConfig,
+    Rescale,
+    fit_joint,
+    fit_power_law,
+    fit_shifted_power_law,
+)
 from scalefit.synth import CurveGenerator, gen_curve_points
-from scalefit.uncertainty import BootstrapConfig, BootstrapResult, bootstrap_fit
+from scalefit.uncertainty import BootstrapConfig, BootstrapResult, _warm_cfg, bootstrap_fit
 
 ID_CFG = FitConfig(rescale=Rescale(1.0, 1.0, 1.0))
 
@@ -142,3 +150,100 @@ class TestJoint:
         (nd0, lo0, hi0), (nd1, lo1, hi1) = res.curve_ci
         assert lo0 <= hi0 and lo1 <= hi1
         assert lo1 <= hi0  # larger N, D gives smaller misalignment overall
+
+
+def joint_points():
+    g = CurveGenerator(
+        form="joint",
+        true_params={"E": 0.3, "A": 1.0, "alpha": 0.4, "B": 1.5, "beta": 0.3},
+        n_grid=tuple(np.logspace(0, 3, 6)),
+        d_grid=tuple(np.logspace(0, 3, 6)),
+        noise_sigma_log=0.03,
+        seed=0,
+    )
+    return gen_curve_points(g)
+
+
+def shifted_points():
+    g = CurveGenerator(
+        form="shifted",
+        true_params={"E": 0.3, "A": 1.0, "alpha": 0.4, "lambda": 0.5},
+        x_grid=tuple(np.logspace(-2, 3, 30)),
+        noise_sigma_log=0.03,
+        seed=1,
+    )
+    return gen_curve_points(g)
+
+
+# 25 rows in clusters of 1 to 5, so resamples differ in length.
+UNEQUAL_CLUSTERS = np.repeat(np.arange(8), [1, 2, 3, 4, 5, 4, 3, 3])
+
+FITS = {"power": fit_power_law, "shifted": fit_shifted_power_law, "joint": fit_joint}
+
+
+# A 2^d-start grid keeps the point-estimate fits of these tests short.
+SMALL_CFG = FitConfig(
+    grid_e=(-1.0, 0.0),
+    grid_a=(0.0, 5.0),
+    grid_alpha=(0.5, 1.0),
+    grid_lambda=(0.0, 1.0),
+    rescale=Rescale(1.0, 1.0, 1.0),
+)
+
+
+def one_at_a_time(point, points, fit_kind, fit_cfg, bs_cfg, warm_start, cluster_ids=None):
+    """(param_ci, n_failed) from one fit_* call per resample, same streams."""
+    fit = FITS[fit_kind]
+    cfg = _warm_cfg(fit_cfg, point) if warm_start else fit_cfg
+    n = len(points)
+    if cluster_ids is not None:
+        clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
+    draws, failed = [], 0
+    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
+        rng = np.random.default_rng(child)
+        if cluster_ids is None:
+            idx = rng.integers(0, n, size=n)
+        else:
+            picks = rng.integers(0, len(clusters), size=len(clusters))
+            idx = np.concatenate([clusters[p] for p in picks])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                draws.append(list(fit(points[idx], cfg).params().values()))
+        except (ValueError, RuntimeError):
+            failed += 1
+    draws = np.array(draws)
+    lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
+    ci = {
+        name: (float(np.percentile(draws[:, j], lo_q)), float(np.percentile(draws[:, j], 100.0 - lo_q)))
+        for j, name in enumerate(point.params())
+    }
+    return ci, failed
+
+
+class TestBatchedMatchesOneAtATime:
+    """Batched resample fits give the CIs and failures of per-resample fits."""
+
+    @pytest.mark.parametrize(
+        "points, fit_kind, fit_cfg, resamples, warm_start, cluster_ids",
+        [
+            (noisy_points(n=6, seed=2), "power", SMALL_CFG, 60, True, None),
+            (noisy_points(n=12, seed=4), "power", ID_CFG, 3, False, None),
+            (shifted_points(), "shifted", SMALL_CFG, 40, True, None),
+            (joint_points(), "joint", SMALL_CFG, 30, True, None),
+            (noisy_points(seed=6), "power", SMALL_CFG, 30, True, UNEQUAL_CLUSTERS),
+        ],
+        ids=["power-warm", "power-cold", "shifted-warm", "joint-warm", "clusters-unequal"],
+    )
+    def test_param_ci_and_failures_identical(
+        self, points, fit_kind, fit_cfg, resamples, warm_start, cluster_ids
+    ):
+        bs_cfg = BootstrapConfig(resamples=resamples, seed=11)
+        res = bootstrap_fit(
+            points, fit_kind, fit_cfg, bs_cfg, warm_start=warm_start, cluster_ids=cluster_ids
+        )
+        ci, failed = one_at_a_time(
+            res.point_estimate, points, fit_kind, fit_cfg, bs_cfg, warm_start, cluster_ids
+        )
+        assert res.param_ci == ci
+        assert res.n_failed_resamples == failed
