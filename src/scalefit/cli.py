@@ -25,11 +25,10 @@ from .allocation import (
 )
 from .records import REGIONS, IngestError, export, filter_for_fit, ingest
 from .scaling import (
+    _FORMS,
     FitConfig,
-    JointFit,
-    PowerLawFit,
     Rescale,
-    ShiftedPowerLawFit,
+    _form,
     fit_joint,
     fit_power_law,
     fit_shifted_power_law,
@@ -114,17 +113,15 @@ def _target_misalignment(record, target: str) -> float:
     return 1.0 - s
 
 
-def _load_points(args, need_joint: bool) -> np.ndarray:
-    """Fit input: either a run table (scores -> L) or a bare points CSV."""
+def _load_points(args, form) -> np.ndarray:
+    """Fit input for `form`: either a run table (scores -> L) or a bare points CSV."""
     if args.points:
         rows = []
         with open(args.points, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            cols = ("n", "d", "l") if need_joint else ("x", "l")
+            cols = form.columns
             if reader.fieldnames is None or any(c not in reader.fieldnames for c in cols):
-                raise ValueError(
-                    f"points CSV must have columns {','.join(cols)}"
-                )
+                raise ValueError(f"points CSV must have columns {','.join(cols)}")
             for row in reader:
                 rows.append([float(row[c]) for c in cols])
         return np.asarray(rows, dtype=float)
@@ -132,19 +129,14 @@ def _load_points(args, need_joint: bool) -> np.ndarray:
     table = ingest(args.input, format=args.format, average_seeds=args.average_seeds)
     if args.filter:
         table = filter_for_fit(table, args.filter)
-    if need_joint:
-        return np.array(
-            [
-                [float(r.n_params), float(r.samples_seen), _target_misalignment(r, args.target)]
-                for r in table
-            ]
-        )
+    kinds = form.kinds(args.x)
     return np.array(
-        [[_x_value(r, args.x), _target_misalignment(r, args.target)] for r in table]
+        [[_x_value(r, k) for k in kinds] + [_target_misalignment(r, args.target)] for r in table]
     )
 
 
 def _fit_payload(fit) -> dict:
+    form = _FORMS[fit.form]
     payload = {
         "form": fit.form,
         "params": fit.params(),
@@ -153,65 +145,50 @@ def _fit_payload(fit) -> dict:
         "degenerate": fit.degenerate,
         "converged": fit.converged,
         "n_points": fit.n_points,
+        "rescale": {s: getattr(fit, s) for s in form.scales},
     }
-    if isinstance(fit, JointFit):
-        payload["rescale"] = {"n_scale": fit.n_scale, "d_scale": fit.d_scale}
-    else:
+    if form.x_axis:
         payload["x_kind"] = fit.x_kind
-        payload["rescale"] = {"x_scale": fit.x_scale}
     return payload
 
 
 def _fit_from_payload(payload: dict):
-    params = payload["params"]
-    common = dict(
+    form = _form(payload["form"])
+    params, rescale = payload["params"], payload["rescale"]
+    fields = {p.field: params[p.name] for p in form.params}
+    fields.update((s, rescale[s]) for s in form.scales)
+    if form.x_axis:
+        fields["x_kind"] = payload["x_kind"]
+    return form.fit_class(
         objective=payload["objective"],
         init_used=tuple(payload["init_used"]),
         degenerate=payload["degenerate"],
         converged=payload.get("converged", True),
         n_points=payload.get("n_points", 0),
+        **fields,
     )
-    if payload["form"] == "joint":
-        return JointFit(
-            E=params["E"],
-            A=params["A"],
-            alpha=params["alpha"],
-            B=params["B"],
-            beta=params["beta"],
-            n_scale=payload["rescale"]["n_scale"],
-            d_scale=payload["rescale"]["d_scale"],
-            **common,
-        )
-    if payload["form"] == "shifted":
-        return ShiftedPowerLawFit(
-            E=params["E"],
-            A=params["A"],
-            alpha=params["alpha"],
-            lam=params["lambda"],
-            x_kind=payload["x_kind"],
-            x_scale=payload["rescale"]["x_scale"],
-            **common,
-        )
-    return PowerLawFit(
-        E=params["E"],
-        A=params["A"],
-        alpha=params["alpha"],
-        x_kind=payload["x_kind"],
-        x_scale=payload["rescale"]["x_scale"],
-        **common,
-    )
+
+
+def _read_fit_report(path: str):
+    """The fit in a report; a missing field or unknown form is a ValueError."""
+    payload = _read_report(path)
+    try:
+        return _fit_from_payload(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: fit report has no field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _run_fit(points: np.ndarray, args, cfg: FitConfig):
-    if args.form == "power":
-        return fit_power_law(points, cfg, args.x)
-    if args.form == "shifted":
-        return fit_shifted_power_law(points, cfg, args.x, freeze_lambda=args.freeze_lambda)
-    return fit_joint(points, cfg)
+    """Fit through the form's fit_* function, found by name in this module when called."""
+    form = _FORMS[args.form]
+    options = {k: getattr(args, k) for k in form.options}
+    return form.run_fitter(globals()[form.fitter], points, cfg, args.x, **options)
 
 
 def _emit_curve(fit, points: np.ndarray, csv_path: str | None, svg_path: str | None, curve_ci=None):
-    if isinstance(fit, JointFit):
+    if not _FORMS[fit.form].x_axis:
         raise ValueError("curve emission supports power and shifted fits only")
     x = points[:, 0]
     grid = np.logspace(np.log10(x.min()), np.log10(x.max()), 200)
@@ -290,12 +267,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    need_joint = args.form == "joint"
-    points = _load_points(args, need_joint)
+    form = _FORMS[args.form]
+    points = _load_points(args, form)
     cfg = _fit_config(args)
     fit = _run_fit(points, args, cfg)
     payload = _fit_payload(fit)
-    payload["x"] = None if need_joint else args.x
+    payload["x"] = args.x if form.x_axis else None
     payload["target"] = args.target
     _write_json(args.output, payload)
     if args.emit_curve or args.svg:
@@ -305,9 +282,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    payload = _read_report(args.fit_report)
-    fit = _fit_from_payload(payload)
-    if not isinstance(fit, JointFit):
+    fit = _read_fit_report(args.fit_report)
+    if fit.form != "joint":
         raise ValueError("allocation requires a joint fit report")
 
     rescale = Rescale(args.c_scale, fit.n_scale, fit.d_scale)
@@ -365,10 +341,10 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    need_joint = args.form == "joint"
-    points = _load_points(args, need_joint)
+    form = _FORMS[args.form]
+    points = _load_points(args, form)
     cfg = _fit_config(args)
-    if args.curve_points > 0 and not need_joint:
+    if args.curve_points > 0 and form.x_axis:
         x = points[:, 0]
         grid = tuple(np.logspace(np.log10(x.min()), np.log10(x.max()), args.curve_points))
     else:
@@ -396,7 +372,7 @@ def cmd_bootstrap(args) -> int:
         }
     )
     _write_json(args.output, payload)
-    if args.svg and not need_joint:
+    if args.svg and form.x_axis:
         _emit_curve(result.point_estimate, points, None, args.svg, curve_ci=result.curve_ci)
     print(f"bootstrap: {result.resamples} resamples, {result.n_failed_resamples} failed")
     return 0
@@ -521,31 +497,27 @@ def cmd_score(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.kind == "curve":
-        params = {"E": args.E, "A": args.A, "alpha": args.alpha}
-        if args.form == "shifted":
-            params["lambda"] = getattr(args, "lam")
-        if args.form == "joint":
-            params.update({"B": args.B, "beta": args.beta})
-            gen = CurveGenerator(
-                form="joint",
-                true_params=params,
-                n_grid=tuple(np.logspace(np.log10(args.n_min), np.log10(args.n_max), args.grid_side)),
-                d_grid=tuple(np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.grid_side)),
-                noise_sigma_log=args.sigma,
-                seed=args.seed,
-            )
-            pts = gen_curve_points(gen)
-            header = ["n", "d", "l"]
-        else:
-            gen = CurveGenerator(
-                form=args.form,
-                true_params=params,
-                x_grid=tuple(np.logspace(np.log10(args.x_min), np.log10(args.x_max), args.n_points)),
-                noise_sigma_log=args.sigma,
-                seed=args.seed,
-            )
-            pts = gen_curve_points(gen)
-            header = ["x", "l"]
+        form = _FORMS[args.form]
+        # Each resource column's grid: (low, high, count) flags.
+        spans = {
+            "x": (args.x_min, args.x_max, args.n_points),
+            "n": (args.n_min, args.n_max, args.grid_side),
+            "d": (args.d_min, args.d_max, args.grid_side),
+        }
+        grids = {}
+        for c in form.resources:
+            lo, hi, count = spans[c]
+            grids[f"{c}_grid"] = tuple(np.logspace(np.log10(lo), np.log10(hi), count))
+        gen = CurveGenerator(
+            form=args.form,
+            # Each parameter flag stores to its fit-class field (--lambda to lam).
+            true_params={p.name: getattr(args, p.field) for p in form.params},
+            noise_sigma_log=args.sigma,
+            seed=args.seed,
+            **grids,
+        )
+        pts = gen_curve_points(gen)
+        header = list(form.columns)
         if args.as_runs:
             _write_runs_from_points(args, pts)
         else:
@@ -633,10 +605,9 @@ def cmd_report(args) -> int:
         region, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--fit expects REGION=REPORT.json, got {spec!r}")
-        payload = _read_report(path)
-        fit = _fit_from_payload(payload)
-        if isinstance(fit, JointFit):
-            raise ValueError(f"{path}: region gain requires a power-law fit")
+        fit = _read_fit_report(path)
+        if fit.form != "power":
+            raise ValueError(f"{path}: region gain requires a power-law fit, got {fit.form}")
         rows.append(
             {
                 "region": region,
@@ -704,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a misalignment curve")
     _add_fit_input_flags(p)
-    p.add_argument("--form", choices=["power", "shifted", "joint"], required=True)
+    p.add_argument("--form", choices=list(_FORMS), required=True)
     p.add_argument("--freeze-lambda", action="store_true")
     _add_rescale_flags(p)
     p.add_argument("--output", required=True, help="fit report JSON")
@@ -726,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bootstrap", help="bootstrap CIs for a curve fit")
     _add_fit_input_flags(p)
-    p.add_argument("--form", choices=["power", "shifted", "joint"], required=True)
+    p.add_argument("--form", choices=list(_FORMS), required=True)
     _add_rescale_flags(p)
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--ci", type=float, default=0.95)
@@ -758,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="emit synthetic curve points or benchmark matrices")
     p.add_argument("--kind", choices=["curve", "benchmark"], required=True)
-    p.add_argument("--form", choices=["power", "shifted", "joint"], default="power")
+    p.add_argument("--form", choices=list(_FORMS), default="power")
     p.add_argument("--E", type=float, default=0.52)
     p.add_argument("--A", type=float, default=0.55)
     p.add_argument("--alpha", type=float, default=0.16)

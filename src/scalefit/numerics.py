@@ -41,16 +41,12 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    gradient_mode: str = "analytic"  # or "finite_difference"
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must be in (0, 1)")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack must be in (0, 1)")
-        if self.gradient_mode not in ("analytic", "finite_difference"):
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
 
 
 @dataclass
@@ -275,27 +271,18 @@ def _fd_gradient(f_only, x: np.ndarray, step: float) -> np.ndarray:
 def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
     """BFGS with Armijo backtracking for a single starting point.
 
-    In analytic mode `f(x)` must return `(value, gradient)`; in
-    finite_difference mode `f(x)` returns the value and the gradient is
-    estimated by central differences with `cfg.fd_step`.
+    `f(x)` must return `(value, gradient)`, the gradient analytic;
+    `check_gradient` tests it against central differences.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    if cfg.gradient_mode == "analytic":
-        def fg(X, need_grad=True):
-            if not need_grad:
-                return np.array([f(x)[0] for x in X])
-            pairs = [f(x) for x in X]
-            vals = np.array([p[0] for p in pairs])
-            grads = np.array([np.atleast_1d(np.asarray(p[1], dtype=float)) for p in pairs])
-            return vals, grads
-    else:
-        def fg(X, need_grad=True):
-            vals = np.array([f(x) for x in X])
-            if not need_grad:
-                return vals
-            grads = np.array([_fd_gradient(f, x, cfg.fd_step) for x in X])
-            return vals, grads
+    def fg(X, need_grad=True):
+        if not need_grad:
+            return np.array([f(x)[0] for x in X])
+        pairs = [f(x) for x in X]
+        vals = np.array([p[0] for p in pairs])
+        grads = np.array([np.atleast_1d(np.asarray(p[1], dtype=float)) for p in pairs])
+        return vals, grads
 
     Xs, fs, iters, conv, gn = minimize_batch(fg, x0[None, :], cfg)
     return MinimizeResult(

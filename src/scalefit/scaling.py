@@ -85,8 +85,17 @@ class FitConfig:
                 raise ValueError(f"{name} must be nonempty")
 
 
+class _Curve:
+    """Base of the fit classes; `form` names the class's `_FORMS` entry."""
+
+    form: str
+
+    def params(self) -> dict:
+        return {p.name: getattr(self, p.field) for p in _FORMS[self.form].params}
+
+
 @dataclass
-class PowerLawFit:
+class PowerLawFit(_Curve):
     E: float
     A: float
     alpha: float
@@ -100,12 +109,9 @@ class PowerLawFit:
 
     form = "power"
 
-    def params(self) -> dict:
-        return {"E": self.E, "A": self.A, "alpha": self.alpha}
-
 
 @dataclass
-class ShiftedPowerLawFit:
+class ShiftedPowerLawFit(_Curve):
     E: float
     A: float
     alpha: float
@@ -120,12 +126,9 @@ class ShiftedPowerLawFit:
 
     form = "shifted"
 
-    def params(self) -> dict:
-        return {"E": self.E, "A": self.A, "alpha": self.alpha, "lambda": self.lam}
-
 
 @dataclass
-class JointFit:
+class JointFit(_Curve):
     E: float
     A: float
     alpha: float
@@ -140,15 +143,6 @@ class JointFit:
     n_points: int = 0
 
     form = "joint"
-
-    def params(self) -> dict:
-        return {
-            "E": self.E,
-            "A": self.A,
-            "alpha": self.alpha,
-            "B": self.B,
-            "beta": self.beta,
-        }
 
 
 def _clean_L(L: np.ndarray) -> np.ndarray:
@@ -323,83 +317,117 @@ def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
     return _shared_objective(_power_fg, (logX, logL), delta)
 
 
-def _xl_result(best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
-    """PowerLawFit, or ShiftedPowerLawFit when `best` carries lambda."""
-    E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
-    fields = dict(
-        E=E,
-        A=A,
-        alpha=alpha,
-        objective=obj,
-        init_used=init,
-        degenerate=(A < DEGENERATE_EPS or alpha < DEGENERATE_EPS),
-        x_kind=x_kind,
-        x_scale=cfg.rescale.factor(x_kind),
-        converged=converged,
-        n_points=n_points,
-    )
-    if len(best) == 4:
-        return ShiftedPowerLawFit(lam=float(best[3]), **fields)
-    return PowerLawFit(**fields)
+@dataclass(frozen=True)
+class _Param:
+    """One curve parameter, as the fits, reports and start grids name it."""
+
+    name: str  # key in params() and in fit reports
+    field: str  # fit-class field
+    grid: str  # FitConfig field holding its start values
+    log: bool = False  # optimized as its logarithm, so it stays nonnegative
+    degeneracy: bool = True  # a value below DEGENERATE_EPS marks the fit degenerate
+    mirrors: str | None = None  # FitConfig grid used while `grid` is None
+
+    def axis(self, cfg: FitConfig) -> tuple:
+        """Its start values in `cfg`."""
+        grid = getattr(cfg, self.grid)
+        return grid if grid is not None else getattr(cfg, self.mirrors)
 
 
-def _joint_result(best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
-    E, A, alpha = float(np.exp(best[0])), float(np.exp(best[1])), float(best[2])
-    B, beta = float(np.exp(best[3])), float(best[4])
-    return JointFit(
-        E=E,
-        A=A,
-        alpha=alpha,
-        B=B,
-        beta=beta,
-        objective=obj,
-        init_used=init,
-        degenerate=(
-            A < DEGENERATE_EPS
-            or alpha < DEGENERATE_EPS
-            or B < DEGENERATE_EPS
-            or beta < DEGENERATE_EPS
-        ),
-        n_scale=cfg.rescale.n_scale,
-        d_scale=cfg.rescale.d_scale,
-        converged=converged,
-        n_points=n_points,
-    )
+_E = _Param("E", "E", "grid_e", log=True, degeneracy=False)
+_A = _Param("A", "A", "grid_a", log=True)
+_ALPHA = _Param("alpha", "alpha", "grid_alpha")
+_LAMBDA = _Param("lambda", "lam", "grid_lambda", degeneracy=False)
+_B = _Param("B", "B", "grid_b", log=True, mirrors="grid_a")
+_BETA = _Param("beta", "beta", "grid_beta", mirrors="grid_alpha")
 
-
-def _joint_inits(cfg: FitConfig) -> list:
-    grid_b = cfg.grid_b if cfg.grid_b is not None else cfg.grid_a
-    grid_beta = cfg.grid_beta if cfg.grid_beta is not None else cfg.grid_alpha
-    return list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, grid_b, grid_beta))
+# Resource kind (X_KINDS) of the n and d input columns; an x column has
+# the fit's x_kind.
+_COLUMN_KINDS = {"n": "params", "d": "samples"}
 
 
 @dataclass(frozen=True)
 class _Form:
-    """How one curve form is fitted: data -> objective over starts -> result."""
+    """Everything that sets one curve form apart, for fitting, bootstrap and CLI.
 
+    A fit's parameter vector holds `params` in order, the log ones as
+    logarithms; its start grid is the product of their axes. The form's
+    fit class records the rescale divisor of each resource column in the
+    matching `scales` field, and a form in one resource x also its x_kind.
+    """
+
+    fit_class: type
+    fitter: str  # name of the public fit_* function of this module
+    params: tuple  # _Param per parameter-vector entry
+    columns: tuple  # input columns: the resources, then l
+    scales: tuple  # fit-class field per resource column
     data: Callable  # (points, cfg, x_kind) -> per-point arrays; validates
     fg: Callable  # (P, *data, hp, need_grad) -> values[, gradients]
-    inits: Callable  # cfg -> list of initialization tuples
-    result: Callable  # (best, objective, converged, init, cfg, x_kind, n_points) -> fit
+    options: tuple = ()  # keyword options of the fit_* function beyond x_kind
+
+    @property
+    def resources(self) -> tuple:
+        """The input columns but l, as `predict` names its arguments."""
+        return self.columns[:-1]
+
+    @property
+    def x_axis(self) -> bool:
+        """Whether the curve is in one resource x of a given x_kind."""
+        return self.resources == ("x",)
+
+    def kinds(self, x_kind: str) -> tuple:
+        """The resource kind of each resource column."""
+        return tuple(_COLUMN_KINDS.get(c, x_kind) for c in self.resources)
+
+    def inits(self, cfg: FitConfig) -> list:
+        return list(itertools.product(*(p.axis(cfg) for p in self.params)))
+
+    def result(self, best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
+        values = {p.field: float(np.exp(v) if p.log else v) for p, v in zip(self.params, best)}
+        units = {s: cfg.rescale.factor(k) for s, k in zip(self.scales, self.kinds(x_kind))}
+        if self.x_axis:
+            units["x_kind"] = x_kind
+        return self.fit_class(
+            **values,
+            **units,
+            objective=obj,
+            init_used=init,
+            degenerate=any(values[p.field] < DEGENERATE_EPS for p in self.params if p.degeneracy),
+            converged=converged,
+            n_points=n_points,
+        )
+
+    def run_fitter(self, fitter: Callable, points, cfg: FitConfig, x_kind: str, **options):
+        """Call `fitter`, this form's fit_* function, which takes x_kind if x_axis."""
+        if self.x_axis:
+            return fitter(points, cfg, x_kind, **options)
+        return fitter(points, cfg, **options)
 
 
 _FORMS = {
     "power": _Form(
-        _power_data,
-        _power_fg,
-        lambda cfg: list(itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha)),
-        _xl_result,
+        PowerLawFit, "fit_power_law",
+        params=(_E, _A, _ALPHA), columns=("x", "l"), scales=("x_scale",),
+        data=_power_data, fg=_power_fg,
     ),
     "shifted": _Form(
-        _shifted_data,
-        _shifted_fg,
-        lambda cfg: list(
-            itertools.product(cfg.grid_e, cfg.grid_a, cfg.grid_alpha, cfg.grid_lambda)
-        ),
-        _xl_result,
+        ShiftedPowerLawFit, "fit_shifted_power_law",
+        params=(_E, _A, _ALPHA, _LAMBDA), columns=("x", "l"), scales=("x_scale",),
+        data=_shifted_data, fg=_shifted_fg, options=("freeze_lambda",),
     ),
-    "joint": _Form(_joint_data, _joint_fg, _joint_inits, _joint_result),
+    "joint": _Form(
+        JointFit, "fit_joint",
+        params=(_E, _A, _ALPHA, _B, _BETA), columns=("n", "d", "l"), scales=("n_scale", "d_scale"),
+        data=_joint_data, fg=_joint_fg,
+    ),
 }
+
+
+def _form(name: str, what: str = "form") -> _Form:
+    """The `_FORMS` entry of `name`; ValueError naming the known forms."""
+    if name not in _FORMS:
+        raise ValueError(f"unknown {what} {name!r}; known: {tuple(_FORMS)}")
+    return _FORMS[name]
 
 
 def _select_best(Xs, fs, conv, inits):

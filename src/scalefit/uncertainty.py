@@ -19,7 +19,7 @@ from .numerics import _bfgs_rows
 from .scaling import (
     _FORMS,
     FitConfig,
-    JointFit,
+    _form,
     _select_best,
     _stacked_objective,
     fit_joint,
@@ -29,8 +29,6 @@ from .scaling import (
 )
 
 __all__ = ["BootstrapConfig", "BootstrapResult", "bootstrap_fit"]
-
-FIT_KINDS = ("power", "shifted", "joint")
 
 # Upper bound on resamples x starts x points in one batched BFGS run; a
 # chunk always holds at least one resample, so a full start grid per
@@ -63,20 +61,20 @@ class BootstrapResult:
 
 
 def _fit_once(points, fit_kind, fit_cfg, x_kind):
-    if fit_kind == "power":
-        return fit_power_law(points, fit_cfg, x_kind)
-    if fit_kind == "shifted":
-        return fit_shifted_power_law(points, fit_cfg, x_kind)
-    if fit_kind == "joint":
-        return fit_joint(points, fit_cfg)
-    raise ValueError(f"unknown fit_kind {fit_kind!r}; known: {FIT_KINDS}")
+    """The point estimate, from the form's fit_* function.
+
+    The function is looked up by name in this module when called (it is
+    one of the fit_* names imported above), so a wrapper installed on the
+    module attribute sees the call.
+    """
+    form = _form(fit_kind, "fit_kind")
+    return form.run_fitter(globals()[form.fitter], points, fit_cfg, x_kind)
 
 
 def _curve_values(fit, grid: np.ndarray) -> np.ndarray:
     """The fitted curve at every grid point: x values, or (n, d) rows for joint."""
-    if isinstance(fit, JointFit):
-        return predict(fit, n=grid[:, 0], d=grid[:, 1])[0]
-    return predict(fit, x=grid)[0]
+    columns = grid.reshape(len(grid), -1).T
+    return predict(fit, **dict(zip(_FORMS[fit.form].resources, columns)))[0]
 
 
 def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
@@ -126,15 +124,11 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
 
 def _warm_cfg(fit_cfg: FitConfig, fit) -> FitConfig:
     """Single-initialization config seeded at the point estimate."""
-    e = float(np.log(max(fit.E, 1e-300)))
-    a = float(np.log(max(fit.A, 1e-300)))
-    kwargs = dict(grid_e=(e,), grid_a=(a,), grid_alpha=(fit.alpha,))
-    if hasattr(fit, "lam"):
-        kwargs["grid_lambda"] = (fit.lam,)
-    if isinstance(fit, JointFit):
-        kwargs["grid_b"] = (float(np.log(max(fit.B, 1e-300))),)
-        kwargs["grid_beta"] = (fit.beta,)
-    return replace(fit_cfg, **kwargs)
+    starts = {}
+    for p in _FORMS[fit.form].params:
+        value = getattr(fit, p.field)
+        starts[p.grid] = (float(np.log(max(value, 1e-300))) if p.log else value,)
+    return replace(fit_cfg, **starts)
 
 
 def bootstrap_fit(

@@ -1,10 +1,18 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from scalefit.cli import main
-from scalefit.synth import gen_behavior_task
+from scalefit.cli import _fit_from_payload, _fit_payload, main
+from scalefit.scaling import (
+    FitConfig,
+    Rescale,
+    fit_joint,
+    fit_power_law,
+    fit_shifted_power_law,
+)
+from scalefit.synth import CurveGenerator, gen_behavior_task, gen_curve_points
 
 
 def read_json(path):
@@ -14,6 +22,23 @@ def read_json(path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def write_report(path, **fields):
+    """A power-law fit report, with `fields` replacing or adding entries."""
+    payload = {
+        "form": "power",
+        "params": {"E": 0.52, "A": 0.55, "alpha": 0.16},
+        "objective": 0.0,
+        "init_used": [],
+        "degenerate": False,
+        "x_kind": "flops",
+        "rescale": {"x_scale": 1.0},
+        "spec_version": "1.0",
+    }
+    payload.update(fields)
+    path.write_text(json.dumps(payload))
+    return path
 
 
 @pytest.fixture
@@ -93,6 +118,31 @@ class TestFit:
         assert payload["params"]["alpha"] == pytest.approx(0.16, rel=1e-3)
         assert payload["spec_version"] == "1.0"
         assert (tmp_path / "fit1.json.log").exists()
+
+    def test_shifted_fit_reruns_identically(self, tmp_path):
+        pts = tmp_path / "shifted.csv"
+        assert run(
+            "simulate", "--kind", "curve", "--form", "shifted",
+            "--E", "0.4", "--A", "0.6", "--alpha", "0.3", "--lambda", "0.5",
+            "--x-min", "1e-2", "--x-max", "1e3", "--n-points", "30",
+            "--output", str(pts),
+        ) == 0
+        for freeze in ([], ["--freeze-lambda"]):
+            outputs = []
+            for i in range(2):
+                rep, curve = tmp_path / f"s{i}.json", tmp_path / f"c{i}.csv"
+                assert run(
+                    "fit", "--form", "shifted", "--x", "flops", *freeze,
+                    "--points", str(pts), "--no-rescale",
+                    "--output", str(rep), "--emit-curve", str(curve),
+                ) == 0
+                outputs.append((rep.read_bytes(), curve.read_bytes()))
+            assert outputs[0] == outputs[1]
+            payload = read_json(tmp_path / "s0.json")
+            assert payload["form"] == "shifted" and payload["x_kind"] == "flops"
+            # lambda = 0.5 is on the start grid, so a frozen fit recovers it too
+            assert payload["params"]["alpha"] == pytest.approx(0.3, rel=1e-3)
+            assert payload["params"]["lambda"] == pytest.approx(0.5, abs=1e-3)
 
     def test_missing_x_is_usage_error(self, tmp_path, points_csv):
         with pytest.raises(SystemExit) as exc:
@@ -324,17 +374,7 @@ class TestReport:
         }
         flags = []
         for region, (E, A, alpha) in specs.items():
-            path = tmp_path / f"{region}.json"
-            path.write_text(json.dumps({
-                "form": "power",
-                "params": {"E": E, "A": A, "alpha": alpha},
-                "objective": 0.0,
-                "init_used": [],
-                "degenerate": False,
-                "x_kind": "flops",
-                "rescale": {"x_scale": 1.0},
-                "spec_version": "1.0",
-            }))
+            path = write_report(tmp_path / f"{region}.json", params={"E": E, "A": A, "alpha": alpha})
             flags += ["--fit", f"{region}={path}"]
         out = tmp_path / "gains.csv"
         assert run("report", *flags, "--output", str(out)) == 0
@@ -354,6 +394,81 @@ class TestReport:
 
     def test_no_reports_is_error(self, tmp_path):
         assert run("report", "--output", str(tmp_path / "g.csv")) == 1
+
+    def test_missing_field_is_error(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"spec_version": "1.0", "form": "power"}))
+        assert run("report", "--fit", f"IT={path}", "--output", str(tmp_path / "g.csv")) == 1
+        assert "'params'" in capsys.readouterr().err
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"m": 6.0, "n": 1.0, "spec_version": "1.0"}))
+        assert run(
+            "allocate", "--fit-report", str(path), "--compute-model", str(cm),
+            "--budget", "1e9", "--output", str(tmp_path / "a.json"),
+        ) == 1
+        assert "'params'" in capsys.readouterr().err
+
+    def test_unknown_form_is_error(self, tmp_path, capsys):
+        path = write_report(tmp_path / "r.json", form="bogus")
+        with pytest.raises(ValueError, match="power.*shifted.*joint"):
+            _fit_from_payload(read_json(path))
+        assert run("report", "--fit", f"IT={path}", "--output", str(tmp_path / "g.csv")) == 1
+        assert "'bogus'" in capsys.readouterr().err
+
+    def test_rejects_shifted_fit(self, tmp_path):
+        path = write_report(
+            tmp_path / "s.json",
+            form="shifted",
+            params={"E": 0.52, "A": 0.55, "alpha": 0.16, "lambda": 1.0},
+        )
+        out = tmp_path / "g.csv"
+        assert run("report", "--fit", f"IT={path}", "--output", str(out)) == 1
+        assert not out.exists()
+
+
+def xl_points(form, params):
+    return gen_curve_points(
+        CurveGenerator(form=form, true_params=params, x_grid=tuple(np.logspace(-2, 2, 12)))
+    )
+
+
+def joint_points():
+    grid = tuple(np.logspace(0, 3, 4))
+    params = {"E": 0.3, "A": 1.0, "alpha": 0.34, "B": 2.0, "beta": 0.28}
+    return gen_curve_points(CurveGenerator(form="joint", true_params=params, n_grid=grid, d_grid=grid))
+
+
+# A 2^d-start grid and distinct rescale divisors, so a mixed-up scale field shows.
+SMALL_CFG = FitConfig(
+    grid_e=(-1.0, 0.0),
+    grid_a=(0.0, 5.0),
+    grid_alpha=(0.5, 1.0),
+    grid_lambda=(0.0, 1.0),
+    rescale=Rescale(10.0, 100.0, 1000.0),
+)
+
+
+class TestFitPayload:
+    @pytest.mark.parametrize(
+        "form, make_fit",
+        [
+            ("power", lambda: fit_power_law(
+                xl_points("power", {"E": 0.52, "A": 0.55, "alpha": 0.16}), SMALL_CFG, "params"
+            )),
+            ("shifted", lambda: fit_shifted_power_law(
+                xl_points("shifted", {"E": 0.4, "A": 0.6, "alpha": 0.3, "lambda": 0.5}),
+                SMALL_CFG,
+                "samples",
+            )),
+            ("joint", lambda: fit_joint(joint_points(), SMALL_CFG)),
+        ],
+        ids=["power", "shifted", "joint"],
+    )
+    def test_round_trip(self, form, make_fit):
+        fit = make_fit()
+        assert fit.form == form
+        payload = json.loads(json.dumps(_fit_payload(fit)))
+        assert _fit_from_payload(payload) == fit
 
 
 class TestIngestCommand:

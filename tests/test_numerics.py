@@ -164,11 +164,6 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(lambda x: (float("nan"), np.zeros_like(x)), [0.0])
 
-    def test_finite_difference_mode(self):
-        cfg = OptimizerConfig(gradient_mode="finite_difference", grad_tol=1e-6)
-        res = minimize(lambda x: float((x[0] - 2) ** 2), [0.0], cfg)
-        assert res.x_star[0] == pytest.approx(2.0, abs=1e-4)
-
     def test_bad_config(self):
         with pytest.raises(ValueError):
             OptimizerConfig(armijo_c=2.0)
