@@ -23,6 +23,9 @@ __all__ = [
     "brute_force_allocation",
 ]
 
+# Width, in decades of N, of the brute-force oracle's grid around the closed-form optimum.
+SPAN_DECADES = 12.0
+
 
 @dataclass(frozen=True)
 class ComputeModel:
@@ -127,18 +130,17 @@ def brute_force_allocation(
     cm: ComputeModel,
     budget_c: float,
     grid_points: int = 10_000,
-    span_decades: float = 12.0,
 ) -> AllocationResult:
     """Grid-search oracle for the constrained argmin.
 
-    Parameterizes the budget surface by N on a log grid centered on the
-    closed-form optimum, sets D = (C/m)^(1/n) / N, and returns the grid
-    argmin (ties broken toward smaller N).
+    Parameterizes the budget surface by N on a log grid SPAN_DECADES wide,
+    centered on the closed-form optimum, sets D = (C/m)^(1/n) / N, and
+    returns the grid argmin (ties broken toward smaller N).
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
     closed = optimal_allocation(fit, cm, budget_c)
-    half = span_decades / 2.0
+    half = SPAN_DECADES / 2.0
     n_grid = closed.n_star * np.logspace(-half, half, grid_points)
     nd = cm.nd_product(budget_c)
     d_grid = nd / n_grid

@@ -15,17 +15,27 @@ import sys
 import numpy as np
 
 from . import __version__
-from .alignment import BehaviorData, BenchmarkData, behavior_score, neural_score
+from .alignment import NEURAL_REGIONS, BehaviorData, BenchmarkData, behavior_score, neural_score
 from .allocation import (
+    SPAN_DECADES,
     ComputeModel,
     allocation_coefficients,
     brute_force_allocation,
     fit_compute_model,
     optimal_allocation,
 )
-from .records import REGIONS, IngestError, export, filter_for_fit, ingest
+from .records import (
+    CSV_COLUMNS,
+    FILTER_RULES,
+    REGIONS,
+    RESOURCE_FIELDS,
+    export,
+    filter_for_fit,
+    ingest,
+)
 from .scaling import (
     _FORMS,
+    X_KINDS,
     FitConfig,
     Rescale,
     _form,
@@ -45,16 +55,12 @@ def _r(v) -> str:
     """repr of a value as a plain python float (round-trip exact)."""
     return repr(float(v))
 
-TARGETS = ("v1", "v2", "v4", "it", "behavior", "brain", "mean")
-_TARGET_REGIONS = {
-    "v1": ("V1",),
-    "v2": ("V2",),
-    "v4": ("V4",),
-    "it": ("IT",),
-    "behavior": ("behavior",),
-    "brain": ("V1", "V2", "V4", "IT"),
-    "mean": REGIONS,
-}
+
+_TARGET_REGIONS = {**{r.lower(): (r,) for r in REGIONS}, "brain": NEURAL_REGIONS, "mean": REGIONS}
+TARGETS = tuple(_TARGET_REGIONS)
+
+# The input files of each score kind, by argument name.
+_SCORE_INPUTS = {"neural": ("activations", "recordings"), "behavior": ("train", "test", "pattern")}
 
 
 def _default_seed() -> int:
@@ -77,16 +83,61 @@ def _write_sidecar_log(path: str) -> None:
         fh.write(f"scalefit_version: {__version__}\n")
 
 
-def _read_report(path: str) -> dict:
+def _read_report(path: str, build):
+    """`build(payload)` of the JSON report at `path`, whose spec_version major must match.
+
+    A payload that is not a JSON object, a missing field or a value `build`
+    rejects is a ValueError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("spec_version", "")
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: report is not a JSON object")
+    version = str(payload.get("spec_version", ""))
     if version.split(".")[0] != SPEC_VERSION.split(".")[0]:
         raise ValueError(
             f"{path}: unsupported report spec_version {version!r} "
             f"(reader supports major {SPEC_VERSION.split('.')[0]})"
         )
-    return payload
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: report has no field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_csv(path: str, need) -> list:
+    """The rows of a CSV file as dicts in header order; the header must hold the columns `need`.
+
+    Blank lines are skipped. A missing or repeated column, or a row whose
+    width differs from the header's, is a ValueError naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    if any(c not in header for c in need) or len(set(header)) < len(header):
+        raise ValueError(f"{path}: CSV must have columns {','.join(need)}, each column named once")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, the header has {len(header)}")
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write a new CSV output and its sidecar log: floats through _r, other values as str.
+
+    Every row is formatted before the file is opened, so a row that raises
+    leaves no file behind.
+    """
+    lines = [header] + [[_r(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(lines)
+    _write_sidecar_log(path)
+
+
+def _float_columns(rows: list, skip) -> list:
+    """Each row's values outside the columns `skip`, as floats."""
+    return [[float(v) for c, v in row.items() if c not in skip] for row in rows]
 
 
 def _rescale_from_args(args) -> Rescale:
@@ -99,14 +150,6 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(rescale=_rescale_from_args(args))
 
 
-def _x_value(record, x_kind: str) -> float:
-    if x_kind == "flops":
-        return record.flops
-    if x_kind == "params":
-        return float(record.n_params)
-    return float(record.samples_seen)
-
-
 def _target_misalignment(record, target: str) -> float:
     regions = _TARGET_REGIONS[target]
     s = sum(record.scores[r] for r in regions) / len(regions)
@@ -116,23 +159,21 @@ def _target_misalignment(record, target: str) -> float:
 def _load_points(args, form) -> np.ndarray:
     """Fit input for `form`: either a run table (scores -> L) or a bare points CSV."""
     if args.points:
-        rows = []
-        with open(args.points, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            cols = form.columns
-            if reader.fieldnames is None or any(c not in reader.fieldnames for c in cols):
-                raise ValueError(f"points CSV must have columns {','.join(cols)}")
-            for row in reader:
-                rows.append([float(row[c]) for c in cols])
-        return np.asarray(rows, dtype=float)
-
-    table = ingest(args.input, format=args.format, average_seeds=args.average_seeds)
-    if args.filter:
-        table = filter_for_fit(table, args.filter)
-    kinds = form.kinds(args.x)
+        rows = _read_csv(args.points, form.columns)
+        return np.asarray([[float(row[c]) for c in form.columns] for row in rows], dtype=float)
+    fields = [RESOURCE_FIELDS[k] for k in form.kinds(args.x)]
     return np.array(
-        [[_x_value(r, k) for k in kinds] + [_target_misalignment(r, args.target)] for r in table]
+        [
+            [float(getattr(r, f)) for f in fields] + [_target_misalignment(r, args.target)]
+            for r in _read_table(args)
+        ]
     )
+
+
+def _read_table(args):
+    """The run table of --input, seed-averaged and filtered as the flags ask."""
+    table = ingest(args.input, format=args.format, average_seeds=args.average_seeds)
+    return filter_for_fit(table, args.filter) if args.filter else table
 
 
 def _fit_payload(fit) -> dict:
@@ -169,17 +210,6 @@ def _fit_from_payload(payload: dict):
     )
 
 
-def _read_fit_report(path: str):
-    """The fit in a report; a missing field or unknown form is a ValueError."""
-    payload = _read_report(path)
-    try:
-        return _fit_from_payload(payload)
-    except KeyError as exc:
-        raise ValueError(f"{path}: fit report has no field {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _run_fit(points: np.ndarray, args, cfg: FitConfig):
     """Fit through the form's fit_* function, found by name in this module when called."""
     form = _FORMS[args.form]
@@ -194,12 +224,7 @@ def _emit_curve(fit, points: np.ndarray, csv_path: str | None, svg_path: str | N
     grid = np.logspace(np.log10(x.min()), np.log10(x.max()), 200)
     L, S = predict(fit, x=grid)
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "L", "S"])
-            for xi, li, si in zip(grid, L, S):
-                writer.writerow([_r(xi), _r(li), _r(si)])
-        _write_sidecar_log(csv_path)
+        _write_csv(csv_path, ["x", "L", "S"], zip(grid, L, S))
     if svg_path:
         band = None
         if curve_ci:
@@ -257,9 +282,7 @@ def _write_svg(path: str, x, y, points, band=None, width=640, height=400):
 
 
 def cmd_ingest(args) -> int:
-    table = ingest(args.input, format=args.format, average_seeds=args.average_seeds)
-    if args.filter:
-        table = filter_for_fit(table, args.filter)
+    table = _read_table(args)
     export(table, args.output, format=args.output_format)
     _write_sidecar_log(args.output)
     print(f"ingested {len(table)} run(s) -> {args.output}")
@@ -282,18 +305,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    fit = _read_fit_report(args.fit_report)
+    fit = _read_report(args.fit_report, _fit_from_payload)
     if fit.form != "joint":
         raise ValueError("allocation requires a joint fit report")
 
     rescale = Rescale(args.c_scale, fit.n_scale, fit.d_scale)
     if args.compute_model:
-        cm_payload = _read_report(args.compute_model)
-        cm = ComputeModel(
-            m=cm_payload["m"],
-            n=cm_payload["n"],
-            r2=cm_payload.get("r2", float("nan")),
-            n_points=cm_payload.get("n_points", 0),
+        cm = _read_report(
+            args.compute_model,
+            lambda p: ComputeModel(
+                m=p["m"], n=p["n"], r2=p.get("r2", float("nan")), n_points=p.get("n_points", 0)
+            ),
         )
     elif args.input:
         table = ingest(args.input, format=args.format)
@@ -323,7 +345,7 @@ def cmd_allocate(args) -> int:
     }
     if args.verify:
         bf = brute_force_allocation(fit, cm, budget_scaled, grid_points=args.grid_points)
-        cell = 12.0 / (args.grid_points - 1)  # log10 grid spacing
+        cell = SPAN_DECADES / (args.grid_points - 1)  # log10 grid spacing
         out["verify"] = {
             "n_star": bf.n_star * fit.n_scale,
             "d_star": bf.d_star * fit.d_scale,
@@ -378,76 +400,35 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _read_matrix_csv(path: str):
-    """Matrix CSV: header `stim_id,<col0>,<col1>,...`; returns (ids, array)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "stim_id":
-            raise ValueError(f"{path}: first column must be stim_id")
-        ids, rows = [], []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    return ids, np.asarray(rows, dtype=float)
-
-
-def _read_labeled_csv(path: str):
-    """Behavior CSV: header `stim_id,label,f0,...`; returns (ids, labels, features)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["stim_id", "label"]:
-            raise ValueError(f"{path}: first columns must be stim_id,label")
-        ids, labels, rows = [], [], []
-        for row in reader:
-            ids.append(row[0])
-            labels.append(row[1])
-            rows.append([float(v) for v in row[2:]])
-    return ids, np.asarray(labels), np.asarray(rows, dtype=float)
-
-
-def _read_pattern_csv(path: str) -> np.ndarray:
-    """Pattern CSV: `image_id,class,probability`, image-major, class ascending."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = ("image_id", "class", "probability")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in need):
-            raise ValueError(f"{path}: pattern CSV must have columns {','.join(need)}")
-        return np.array([float(row["probability"]) for row in reader])
-
-
 def _append_score(runs_path: str, run_id: str, region: str, ceiled: float) -> None:
-    with open(runs_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fieldnames = list(reader.fieldnames or [])
-        rows = list(reader)
+    """Set `run_id`'s score column of `region` in a run-table CSV, rewritten in place."""
     col = f"score_{region.lower()}"
-    if col not in fieldnames:
-        raise ValueError(f"{runs_path}: no column {col}")
-    hit = False
-    for row in rows:
-        if row["run_id"] == run_id:
-            row[col] = _r(ceiled)
-            hit = True
-    if not hit:
+    rows = _read_csv(runs_path, ("run_id", col))
+    hits = [row for row in rows if row["run_id"] == run_id]
+    if not hits:
         raise ValueError(f"{runs_path}: no run_id {run_id!r}")
+    for row in hits:
+        row[col] = _r(ceiled)
     with open(runs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(fh).writerows([list(rows[0])] + [list(row.values()) for row in rows])
 
 
 def cmd_score(args) -> int:
+    missing = [f"--{name}" for name in _SCORE_INPUTS[args.kind] if not getattr(args, name)]
+    if missing:
+        raise ValueError(f"score --kind {args.kind} needs {', '.join(missing)}")
+    if args.append_to and not args.run_id:
+        raise ValueError("--append-to requires --run-id")
     if args.kind == "neural":
-        ids_a, acts = _read_matrix_csv(args.activations)
-        ids_r, recs = _read_matrix_csv(args.recordings)
-        if ids_a != ids_r:
+        acts = _read_csv(args.activations, ("stim_id",))
+        recs = _read_csv(args.recordings, ("stim_id",))
+        ids = [row["stim_id"] for row in acts]
+        if ids != [row["stim_id"] for row in recs]:
             raise ValueError("activation and recording stimulus ids differ")
         data = BenchmarkData(
-            stimulus_ids=ids_a,
-            activations=acts,
-            recordings=recs,
+            stimulus_ids=ids,
+            activations=_float_columns(acts, ("stim_id",)),
+            recordings=_float_columns(recs, ("stim_id",)),
             ceiling=args.ceiling,
             region=args.region,
         )
@@ -461,15 +442,15 @@ def cmd_score(args) -> int:
         )
         region = args.region
     else:
-        _, ytr, Xtr = _read_labeled_csv(args.train)
-        _, yte, Xte = _read_labeled_csv(args.test)
-        pattern = _read_pattern_csv(args.pattern)
+        keys = ("stim_id", "label")
+        train, test = _read_csv(args.train, keys), _read_csv(args.test, keys)
+        pattern = _read_csv(args.pattern, ("image_id", "class", "probability"))
         data = BehaviorData(
-            train_features=Xtr,
-            train_labels=ytr,
-            test_features=Xte,
-            test_labels=yte,
-            primate_pattern=pattern,
+            train_features=_float_columns(train, keys),
+            train_labels=[row["label"] for row in train],
+            test_features=_float_columns(test, keys),
+            test_labels=[row["label"] for row in test],
+            primate_pattern=[float(row["probability"]) for row in pattern],
             ceiling=args.ceiling,
         )
         report = behavior_score(data, seed=args.seed)
@@ -488,8 +469,6 @@ def cmd_score(args) -> int:
         },
     )
     if args.append_to:
-        if not args.run_id:
-            raise ValueError("--append-to requires --run-id")
         _append_score(args.append_to, args.run_id, region, report.ceiled)
     print(f"score {region}: raw={report.raw:.4f} ceiled={report.ceiled:.4f}")
     return 0
@@ -517,16 +496,10 @@ def cmd_simulate(args) -> int:
             **grids,
         )
         pts = gen_curve_points(gen)
-        header = list(form.columns)
         if args.as_runs:
-            _write_runs_from_points(args, pts)
+            _write_csv(args.output, CSV_COLUMNS, _runs_from_points(args, pts))
         else:
-            with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in pts:
-                    writer.writerow([_r(v) for v in row])
-        _write_sidecar_log(args.output)
+            _write_csv(args.output, form.columns, pts)
         print(f"simulated {len(pts)} point(s) -> {args.output}")
         return 0
 
@@ -540,8 +513,12 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     bench = gen_benchmark(gen, region=args.region, ceiling=args.ceiling)
-    _write_matrix_csv(args.activations, bench.data.stimulus_ids, bench.data.activations, "f")
-    _write_matrix_csv(args.recordings, bench.data.stimulus_ids, bench.data.recordings, "n")
+    for path, mat, prefix in [
+        (args.activations, bench.data.activations, "f"),
+        (args.recordings, bench.data.recordings, "n"),
+    ]:
+        header = ["stim_id"] + [f"{prefix}{j}" for j in range(mat.shape[1])]
+        _write_csv(path, header, ([sid, *row] for sid, row in zip(bench.data.stimulus_ids, mat)))
     _write_json(
         args.output,
         {
@@ -556,47 +533,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_matrix_csv(path, ids, mat, prefix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stim_id"] + [f"{prefix}{j}" for j in range(mat.shape[1])])
-        for sid, row in zip(ids, mat):
-            writer.writerow([sid] + [_r(v) for v in row])
-    _write_sidecar_log(path)
-
-
-def _write_runs_from_points(args, pts: np.ndarray) -> None:
-    """Emit a run-table CSV with every region score set to S = 1 - L."""
+def _runs_from_points(args, pts: np.ndarray) -> list:
+    """Run-table rows with every region score set to S = 1 - L."""
     if pts.shape[1] != 2:
         raise ValueError("--as-runs supports power/shifted points only")
-    from .records import CSV_COLUMNS
-
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i, (x, l) in enumerate(pts):
-            s = 1.0 - l
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(
-                    f"point {i}: score {s:.4f} outside [0, 1]; emit --points instead"
-                )
-            n_params = round(x) if args.x_kind == "params" else 1_000_000
-            samples = round(x) if args.x_kind == "samples" else 10_000_000
-            flops = x if args.x_kind == "flops" else 6.0 * n_params * samples
-            writer.writerow(
-                [
-                    f"sim{i}",
-                    "Synthetic",
-                    "synthetic",
-                    "synthetic",
-                    "full",
-                    args.seed,
-                    max(n_params, 1),
-                    max(samples, 1),
-                    _r(flops),
-                ]
-                + [_r(s)] * 5
-            )
+    rows = []
+    for i, (x, l) in enumerate(pts):
+        s = 1.0 - l
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"point {i}: score {s:.4f} outside [0, 1]; emit --points instead")
+        n_params = round(x) if args.x_kind == "params" else 1_000_000
+        samples = round(x) if args.x_kind == "samples" else 10_000_000
+        flops = x if args.x_kind == "flops" else 6.0 * n_params * samples
+        row = [f"sim{i}", "Synthetic", "synthetic", "synthetic", "full", args.seed]
+        rows.append(row + [max(n_params, 1), max(samples, 1), flops] + [s] * 5)
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -605,32 +556,16 @@ def cmd_report(args) -> int:
         region, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--fit expects REGION=REPORT.json, got {spec!r}")
-        fit = _read_fit_report(path)
+        fit = _read_report(path, _fit_from_payload)
         if fit.form != "power":
             raise ValueError(f"{path}: region gain requires a power-law fit, got {fit.form}")
-        rows.append(
-            {
-                "region": region,
-                "E": fit.E,
-                "A": fit.A,
-                "alpha": fit.alpha,
-                "gain": region_gain(fit),
-                "degenerate": fit.degenerate,
-            }
-        )
+        params = [float(fit.E), float(fit.A), float(fit.alpha)]
+        rows.append([region, *params, region_gain(fit), fit.degenerate])
     if not rows:
         raise ValueError("no fit reports given")
-    rows.sort(key=lambda r: -r["gain"])
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["region", "E", "A", "alpha", "gain", "degenerate"])
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for k in ("E", "A", "alpha", "gain"):
-                out[k] = _r(out[k])
-            writer.writerow(out)
-    _write_sidecar_log(args.output)
-    print("gain ordering: " + " > ".join(r["region"] for r in rows))
+    rows.sort(key=lambda r: -r[4])
+    _write_csv(args.output, ["region", "E", "A", "alpha", "gain", "degenerate"], rows)
+    print("gain ordering: " + " > ".join(r[0] for r in rows))
     return 0
 
 
@@ -645,17 +580,15 @@ def _add_rescale_flags(p):
 
 
 def _add_fit_input_flags(p):
-    p.add_argument("--input", help="run-table file (CSV/JSON)")
-    p.add_argument("--points", help="bare points CSV (x,l or n,d,l) instead of a run table")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="run-table file (CSV/JSON)")
+    source.add_argument("--points", help="bare points CSV (x,l or n,d,l) instead of a run table")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--average-seeds", action="store_true")
-    p.add_argument("--filter", choices=["none", "convnext_vit_restricted"], default=None)
+    p.add_argument("--filter", choices=list(FILTER_RULES), default=None)
     p.add_argument("--target", choices=TARGETS, default="mean")
     p.add_argument(
-        "--x",
-        choices=["flops", "params", "samples"],
-        required=True,
-        help="which resource the curve is fit against",
+        "--x", choices=X_KINDS, required=True, help="which resource the curve is fit against"
     )
 
 
@@ -670,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--output-format", choices=["csv", "json"], default="csv")
     p.add_argument("--average-seeds", action="store_true")
-    p.add_argument("--filter", choices=["none", "convnext_vit_restricted"], default=None)
+    p.add_argument("--filter", choices=list(FILTER_RULES), default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit", help="fit a misalignment curve")
@@ -709,10 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("score", help="neural or behavioral alignment score")
-    p.add_argument("--kind", choices=["neural", "behavior"], required=True)
+    p.add_argument("--kind", choices=list(_SCORE_INPUTS), required=True)
     p.add_argument("--activations", help="neural: stimulus x feature CSV")
     p.add_argument("--recordings", help="neural: stimulus x neuroid CSV")
-    p.add_argument("--region", choices=["V1", "V2", "V4", "IT"], default="IT")
+    p.add_argument("--region", choices=NEURAL_REGIONS, default="IT")
     p.add_argument("--train", help="behavior: training CSV (stim_id,label,f0,...)")
     p.add_argument("--test", help="behavior: test CSV (stim_id,label,f0,...)")
     p.add_argument("--pattern", help="behavior: primate pattern CSV")
@@ -747,13 +680,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0, help="log-space noise sd")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--as-runs", action="store_true", help="emit a run-table CSV")
-    p.add_argument("--x-kind", choices=["flops", "params", "samples"], default="flops")
+    p.add_argument("--x-kind", choices=X_KINDS, default="flops")
     p.add_argument("--stimuli", type=int, default=100)
     p.add_argument("--features", type=int, default=10)
     p.add_argument("--neuroids", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--rho", type=float, default=None, help="target theoretical Pearson r")
-    p.add_argument("--region", choices=["V1", "V2", "V4", "IT"], default="IT")
+    p.add_argument("--region", choices=NEURAL_REGIONS, default="IT")
     p.add_argument("--ceiling", type=float, default=1.0)
     p.add_argument("--activations", default="activations.csv")
     p.add_argument("--recordings", default="recordings.csv")
@@ -773,7 +706,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IngestError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

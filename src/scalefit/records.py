@@ -36,6 +36,9 @@ _SCORE_KEYS = {
 
 FORMAT_VERSION = "1"
 
+# The RunRecord field holding each resource a curve can be fitted against.
+RESOURCE_FIELDS = {"flops": "flops", "params": "n_params", "samples": "samples_seen"}
+
 
 class IngestError(ValueError):
     """Raised when a file cannot be ingested; carries row-indexed messages."""

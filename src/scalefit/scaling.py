@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import HuberParams, OptimizerConfig, huber, huber_deriv, minimize_batch
+from .records import RESOURCE_FIELDS
 
 __all__ = [
     "Rescale",
@@ -38,7 +39,7 @@ __all__ = [
 L_FLOOR = 1e-6
 DEGENERATE_EPS = 1e-4
 
-X_KINDS = ("flops", "params", "samples")
+X_KINDS = tuple(RESOURCE_FIELDS)
 
 
 @dataclass(frozen=True)

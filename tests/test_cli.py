@@ -95,11 +95,13 @@ class TestSimulate:
 
     def test_as_runs_rejects_negative_scores(self, tmp_path):
         # E + A at x=1 is 1.07 -> S = -0.07, not a valid score
+        out = tmp_path / "runs.csv"
         assert run(
             "simulate", "--kind", "curve", "--form", "power",
             "--x-min", "1e-3", "--x-max", "1e3",
-            "--as-runs", "--output", str(tmp_path / "runs.csv"),
+            "--as-runs", "--output", str(out),
         ) == 1
+        assert not out.exists()
 
 
 class TestFit:
@@ -151,6 +153,30 @@ class TestFit:
                 "--output", str(tmp_path / "f.json"),
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["fit", "bootstrap"])
+    @pytest.mark.parametrize("sources", [[], ["--input", "runs.csv", "--points", "points.csv"]])
+    def test_input_xor_points_is_usage_error(self, tmp_path, command, sources):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                command, "--form", "power", "--x", "flops", *sources,
+                "--output", str(tmp_path / "f.json"),
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["n,l\n1.0,0.5\n", "x,l\n1.0,0.5\n2.0\n", "x,l,x\n1.0,0.5,1.0\n"],
+        ids=["missing-column", "short-row", "repeated-column"],
+    )
+    def test_bad_points_csv_names_file(self, tmp_path, capsys, text):
+        pts = tmp_path / "bad.csv"
+        pts.write_text(text)
+        assert run(
+            "fit", "--form", "power", "--x", "flops", "--points", str(pts),
+            "--output", str(tmp_path / "f.json"),
+        ) == 1
+        assert "bad.csv" in capsys.readouterr().err
 
     def test_missing_input_file_is_runtime_error(self, tmp_path):
         assert run(
@@ -234,6 +260,15 @@ class TestAllocate:
             "allocate", "--fit-report", str(joint_report),
             "--budget", "1e9", "--output", str(tmp_path / "a.json"),
         ) == 1
+
+    def test_compute_model_missing_field_is_error(self, tmp_path, joint_report, capsys):
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"m": 6.0, "spec_version": "1.0"}))
+        assert run(
+            "allocate", "--fit-report", str(joint_report), "--compute-model", str(cm),
+            "--budget", "1e9", "--output", str(tmp_path / "a.json"),
+        ) == 1
+        assert "cm.json: report has no field 'n'" in capsys.readouterr().err
 
     def test_allocate_rejects_power_fit(self, tmp_path, points_csv):
         rep = tmp_path / "p.json"
@@ -351,6 +386,35 @@ class TestScore:
         assert payload["region"] == "behavior"
         assert payload["raw"] > 0.9
 
+    @pytest.mark.parametrize(
+        "kind, given, missing",
+        [
+            ("neural", ["--activations", "a.csv"], "--recordings"),
+            ("behavior", ["--train", "t.csv", "--test", "t.csv"], "--pattern"),
+        ],
+    )
+    def test_missing_input_flag_is_named(self, tmp_path, capsys, kind, given, missing):
+        out = tmp_path / "s.json"
+        assert run(
+            "score", "--kind", kind, *given, "--ceiling", "1.0", "--output", str(out)
+        ) == 1
+        assert missing in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_append_to_without_run_id_writes_nothing(self, tmp_path):
+        acts, recs = tmp_path / "a.csv", tmp_path / "r.csv"
+        assert run(
+            "simulate", "--kind", "benchmark", "--stimuli", "40",
+            "--activations", str(acts), "--recordings", str(recs),
+            "--output", str(tmp_path / "m.json"),
+        ) == 0
+        out = tmp_path / "s.json"
+        assert run(
+            "score", "--kind", "neural", "--activations", str(acts), "--recordings", str(recs),
+            "--ceiling", "1.0", "--append-to", str(tmp_path / "runs.csv"), "--output", str(out),
+        ) == 1
+        assert not out.exists()
+
     def test_mismatched_stimulus_ids(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("stim_id,f0\ns0,1.0\ns1,2.0\n")
@@ -390,6 +454,16 @@ class TestReport:
         path.write_text(json.dumps({"form": "power", "spec_version": "2.0"}))
         assert run(
             "report", "--fit", f"IT={path}", "--output", str(tmp_path / "g.csv")
+        ) == 1
+
+    def test_report_not_an_object_is_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert run("report", "--fit", f"IT={path}", "--output", str(tmp_path / "g.csv")) == 1
+        assert "list.json: report is not a JSON object" in capsys.readouterr().err
+        assert run(
+            "allocate", "--fit-report", str(path), "--compute-model", str(path),
+            "--budget", "1e9", "--output", str(tmp_path / "a.json"),
         ) == 1
 
     def test_no_reports_is_error(self, tmp_path):

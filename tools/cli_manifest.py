@@ -1,0 +1,203 @@
+"""Run a fixed set of scalefit CLI commands and write a manifest of what they did.
+
+Usage:
+
+    PYTHONPATH=<tree>/src python tools/cli_manifest.py OUTDIR
+
+Every command runs in-process through ``scalefit.cli.main`` with OUTDIR as
+the working directory and relative paths, so no path of the machine enters
+an output. ``OUTDIR/manifest.txt`` lists, per command, its argv, its exit
+code (``exception <Type>`` for a traceback), the last line of stderr when
+the exit code is not 0, and the sha256 of every file the command created
+or changed; ``.log`` sidecars, which hold timestamps, are left out.
+
+Running it on two source trees into two empty directories and diffing the
+two manifests checks that the trees' CLI outputs are byte-identical. The
+command set ends with error-path cases, whose exit codes and messages are
+expected to differ only where a change means them to.
+"""
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+
+from scalefit.cli import main
+from scalefit.synth import gen_behavior_task
+
+CURVE = ["simulate", "--kind", "curve"]
+POWER_TRUTH = ["--form", "power", "--E", "0.3", "--A", "0.5", "--alpha", "0.2"]
+RUNS = [*CURVE, *POWER_TRUTH, "--x-min", "1", "--x-max", "1e4", "--n-points", "20", "--as-runs"]
+COMMANDS = [
+    # simulate: every form, --as-runs for every x kind, a benchmark
+    [*CURVE, *POWER_TRUTH, "--x-min", "1", "--x-max", "1e4", "--n-points", "30",
+     "--sigma", "0.02", "--seed", "3", "--output", "power.csv"],
+    [*CURVE, "--form", "shifted", "--E", "0.4", "--A", "0.6", "--alpha", "0.3", "--lambda", "0.5",
+     "--x-min", "1e-2", "--x-max", "1e3", "--n-points", "30", "--output", "shifted.csv"],
+    [*CURVE, "--form", "joint", "--E", "0.3", "--A", "1.0", "--alpha", "0.34", "--B", "2.0",
+     "--beta", "0.28", "--grid-side", "6", "--sigma", "0.01", "--seed", "3",
+     "--output", "joint.csv"],
+    [*RUNS, "--output", "runs_flops.csv"],
+    [*RUNS, "--x-kind", "params", "--output", "runs.csv"],
+    [*RUNS, "--x-kind", "samples", "--seed", "2", "--output", "runs_samples.csv"],
+    ["simulate", "--kind", "benchmark", "--stimuli", "60", "--rho", "0.8", "--seed", "1",
+     "--activations", "acts.csv", "--recordings", "recs.csv", "--output", "bench.json"],
+    # ingest: csv and json, seed averaging, both filters
+    ["ingest", "--input", "table.csv", "--average-seeds", "--output", "avg.json",
+     "--output-format", "json"],
+    ["ingest", "--input", "avg.json", "--format", "json", "--filter", "convnext_vit_restricted",
+     "--output", "filtered.csv"],
+    ["ingest", "--input", "table.csv", "--filter", "none", "--output", "table_echo.csv"],
+    # fit: every form, --freeze-lambda, curve and SVG output, points and run tables
+    ["fit", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
+     "--output", "fit_power.json", "--emit-curve", "curve_power.csv", "--svg", "curve_power.svg"],
+    ["fit", "--form", "shifted", "--x", "flops", "--points", "shifted.csv", "--no-rescale",
+     "--output", "fit_shifted.json", "--emit-curve", "curve_shifted.csv"],
+    ["fit", "--form", "shifted", "--x", "samples", "--points", "shifted.csv", "--freeze-lambda",
+     "--output", "fit_shifted_frozen.json", "--svg", "curve_shifted.svg"],
+    ["fit", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
+     "--output", "fit_joint.json"],
+    ["fit", "--form", "power", "--x", "params", "--input", "runs.csv", "--target", "it",
+     "--output", "fit_runs.json"],
+    ["fit", "--form", "power", "--x", "flops", "--input", "runs.csv", "--average-seeds",
+     "--filter", "convnext_vit_restricted", "--no-rescale", "--output", "fit_runs_flops.json",
+     "--emit-curve", "curve_runs.csv"],
+    ["fit", "--form", "shifted", "--x", "flops", "--input", "runs_flops.csv", "--target", "v1",
+     "--output", "fit_runs_shifted.json"],
+    ["fit", "--form", "power", "--x", "flops", "--input", "avg.json", "--format", "json",
+     "--target", "brain", "--output", "fit_table.json"],
+    # bootstrap: cold and warm, every form, SVG with a band
+    ["bootstrap", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
+     "--resamples", "20", "--seed", "5", "--curve-points", "10", "--output", "boot_cold.json"],
+    ["bootstrap", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
+     "--resamples", "200", "--warm-start", "--output", "boot_warm.json", "--svg", "boot.svg"],
+    ["bootstrap", "--form", "shifted", "--x", "flops", "--points", "shifted.csv", "--no-rescale",
+     "--resamples", "50", "--warm-start", "--output", "boot_shifted.json"],
+    ["bootstrap", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
+     "--resamples", "50", "--warm-start", "--output", "boot_joint.json"],
+    # allocate --verify from a compute-model report and from a run table
+    ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
+     "--budget", "6e9", "--c-scale", "1", "--verify", "--output", "alloc_cm.json"],
+    ["allocate", "--fit-report", "fit_joint.json", "--input", "runs.csv",
+     "--budget", "1e20", "--verify", "--grid-points", "2001", "--output", "alloc_runs.json"],
+    # score: neural merged into a run table, behavioral
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
+     "--region", "V4", "--ceiling", "0.9", "--output", "score_v4.json",
+     "--append-to", "runs.csv", "--run-id", "sim3"],
+    ["score", "--kind", "behavior", "--train", "train.csv", "--test", "test.csv",
+     "--pattern", "pattern.csv", "--ceiling", "0.8", "--output", "score_behavior.json"],
+    ["report", "--fit", "IT=fit_power.json", "--fit", "V4=fit_runs.json",
+     "--fit", "V1=fit_runs_flops.json", "--output", "gains.csv"],
+    # error paths
+    ["fit", "--form", "power", "--x", "flops", "--output", "err_fit.json"],
+    ["fit", "--form", "power", "--x", "flops", "--input", "runs.csv", "--points", "power.csv",
+     "--no-rescale", "--output", "err_both.json"],
+    ["fit", "--form", "power", "--x", "flops", "--points", "joint.csv",
+     "--output", "err_cols.json"],
+    ["bootstrap", "--form", "power", "--x", "flops", "--output", "err_boot.json"],
+    [*CURVE, "--form", "power", "--as-runs", "--output", "err_runs.csv"],
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--ceiling", "1",
+     "--output", "err_neural.json"],
+    ["score", "--kind", "behavior", "--train", "train.csv", "--test", "test.csv", "--ceiling", "1",
+     "--output", "err_behavior.json"],
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
+     "--ceiling", "1", "--append-to", "runs.csv", "--output", "err_append.json"],
+    ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm_no_n.json",
+     "--budget", "1e9", "--output", "err_alloc.json"],
+    ["report", "--fit", "IT=list.json", "--output", "err_gains.csv"],
+]
+
+TABLE_HEADER = (
+    "run_id,family,arch,dataset,samples_per_class,seed,n_params,samples_seen,flops,"
+    "score_v1,score_v2,score_v4,score_it,score_behavior,val_accuracy"
+)
+TABLE_ROWS = [
+    "a0,ViT,vit_s,eco,10,0,1000,20000,1.2e11,0.1,0.2,0.3,0.4,0.5,0.61",
+    "a1,ViT,vit_s,eco,10,1,1000,20000,1.2e11,0.12,0.22,0.32,0.42,0.52,",
+    "b0,ViT,vit_b,eco,full,0,5000,130000,3.9e12,0.2,0.3,0.4,0.5,0.6,0.7",
+    "c0,ResNet,r18,eco,10,0,2000,20000,2.4e11,0.15,0.25,0.35,0.45,0.55,",
+    "c1,ResNet,r18,eco,10,1,2000,20002,2.4e11,0.17,0.27,0.37,0.47,0.57,0.5",
+    "d0,ConvNeXt,cnx_t,eco,300,0,3000,39000,7.0e11,0.3,0.3,0.3,0.3,0.3,",
+]
+
+
+def write_inputs():
+    """Inputs no CLI command writes: a run table, compute models, behavior CSVs, a bad report."""
+    with open("table.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join([TABLE_HEADER, *TABLE_ROWS]) + "\n")
+    for name, payload in [
+        ("cm.json", {"m": 6.0, "n": 1.0, "r2": 1.0, "spec_version": "1.0"}),
+        ("cm_no_n.json", {"m": 6.0, "spec_version": "1.0"}),
+        ("list.json", [1]),
+    ]:
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    Xtr, ytr, Xte, yte, bayes = gen_behavior_task(n_train=400, n_test=80, seed=0)
+    for name, X, y in [("train.csv", Xtr, ytr), ("test.csv", Xte, yte)]:
+        with open(name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["stim_id", "label"] + [f"f{j}" for j in range(X.shape[1])])
+            for i, (row, label) in enumerate(zip(X, y)):
+                writer.writerow([f"s{i}", label] + [repr(float(v)) for v in row])
+    with open("pattern.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "class", "probability"])
+        k = 0
+        for i, label in enumerate(yte):
+            for c in range(4):
+                if c != label:
+                    writer.writerow([f"s{i}", c, repr(float(bayes[k]))])
+                    k += 1
+
+
+def digests() -> dict:
+    out = {}
+    for name in sorted(os.listdir(".")):
+        if not name.endswith(".log") and os.path.isfile(name):
+            with open(name, "rb") as fh:
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def run(argv):
+    """(exit code, last stderr line) of one in-process CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is a result the manifest records
+            code = f"exception {type(exc).__name__}"
+    lines = err.getvalue().strip().splitlines()
+    return code, lines[-1] if lines else ""
+
+
+def build_manifest(outdir: str) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    if os.listdir("."):
+        sys.exit(f"{outdir} is not empty")
+    write_inputs()
+    seen = digests()
+    lines = ["inputs"] + [f"  {h}  {name}" for name, h in seen.items()]
+    for argv in COMMANDS:
+        code, message = run(argv)
+        now = digests()
+        lines.append("$ " + " ".join(argv))
+        lines.append(f"  exit {code}" + (f": {message}" if code != 0 else ""))
+        lines += [f"  {h}  {name}" for name, h in now.items() if seen.get(name) != h]
+        seen = now
+    with open("manifest.txt", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"{len(COMMANDS)} commands -> {os.path.join(outdir, 'manifest.txt')}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_manifest.py OUTDIR")
+    build_manifest(sys.argv[1])
