@@ -29,6 +29,10 @@ from .records import (
     FILTER_RULES,
     REGIONS,
     RESOURCE_FIELDS,
+    SCORE_COLUMNS,
+    RunRecord,
+    _parse_score,
+    _record_to_row,
     export,
     filter_for_fit,
     ingest,
@@ -317,11 +321,9 @@ def cmd_allocate(args) -> int:
                 m=p["m"], n=p["n"], r2=p.get("r2", float("nan")), n_points=p.get("n_points", 0)
             ),
         )
-    elif args.input:
+    else:
         table = ingest(args.input, format=args.format)
         cm = fit_compute_model(table, rescale=rescale)
-    else:
-        raise ValueError("provide --compute-model REPORT or --input RUNS to fit one")
 
     if args.budget <= 0:
         raise ValueError("--budget must be positive")
@@ -401,8 +403,13 @@ def cmd_bootstrap(args) -> int:
 
 
 def _append_score(runs_path: str, run_id: str, region: str, ceiled: float) -> None:
-    """Set `run_id`'s score column of `region` in a run-table CSV, rewritten in place."""
-    col = f"score_{region.lower()}"
+    """Set `run_id`'s score column of `region` in a run-table CSV, rewritten in place.
+
+    A score the run table would reject on ingest is a ValueError raised before
+    the file is read.
+    """
+    _parse_score(ceiled)
+    col = SCORE_COLUMNS[region]
     rows = _read_csv(runs_path, ("run_id", col))
     hits = [row for row in rows if row["run_id"] == run_id]
     if not hits:
@@ -456,6 +463,8 @@ def cmd_score(args) -> int:
         report = behavior_score(data, seed=args.seed)
         region = "behavior"
 
+    if args.append_to:
+        _append_score(args.append_to, args.run_id, region, report.ceiled)
     _write_json(
         args.output,
         {
@@ -468,8 +477,6 @@ def cmd_score(args) -> int:
             "aggregate": report.aggregate,
         },
     )
-    if args.append_to:
-        _append_score(args.append_to, args.run_id, region, report.ceiled)
     print(f"score {region}: raw={report.raw:.4f} ceiled={report.ceiled:.4f}")
     return 0
 
@@ -534,7 +541,7 @@ def cmd_simulate(args) -> int:
 
 
 def _runs_from_points(args, pts: np.ndarray) -> list:
-    """Run-table rows with every region score set to S = 1 - L."""
+    """Run-table rows, in CSV_COLUMNS order, with every region score set to S = 1 - L."""
     if pts.shape[1] != 2:
         raise ValueError("--as-runs supports power/shifted points only")
     rows = []
@@ -545,8 +552,13 @@ def _runs_from_points(args, pts: np.ndarray) -> list:
         n_params = round(x) if args.x_kind == "params" else 1_000_000
         samples = round(x) if args.x_kind == "samples" else 10_000_000
         flops = x if args.x_kind == "flops" else 6.0 * n_params * samples
-        row = [f"sim{i}", "Synthetic", "synthetic", "synthetic", "full", args.seed]
-        rows.append(row + [max(n_params, 1), max(samples, 1), flops] + [s] * 5)
+        rec = RunRecord(
+            run_id=f"sim{i}", family="Synthetic", arch="synthetic", dataset="synthetic",
+            samples_per_class="full", seed=args.seed, n_params=max(n_params, 1),
+            samples_seen=max(samples, 1), flops=flops, scores=dict.fromkeys(REGIONS, s),
+        )
+        row = _record_to_row(rec)
+        rows.append([row[c] for c in CSV_COLUMNS])
     return rows
 
 
@@ -618,8 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="compute-optimal (N*, D*) for a budget")
     p.add_argument("--fit-report", required=True, help="joint fit report JSON")
-    p.add_argument("--compute-model", help="compute-model report JSON with m, n")
-    p.add_argument("--input", help="run table to fit the compute model from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--compute-model", help="compute-model report JSON with m, n")
+    source.add_argument("--input", help="run table to fit the compute model from")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--budget", type=float, required=True, help="compute budget in raw FLOPs")
     p.add_argument("--c-scale", type=float, default=1e13)

@@ -8,31 +8,35 @@ from dataclasses import dataclass, field, replace
 
 REGIONS = ("V1", "V2", "V4", "IT", "behavior")
 
-CSV_COLUMNS = [
-    "run_id",
-    "family",
-    "arch",
-    "dataset",
-    "samples_per_class",
-    "seed",
-    "n_params",
-    "samples_seen",
-    "flops",
-    "score_v1",
-    "score_v2",
-    "score_v4",
-    "score_it",
-    "score_behavior",
-]
-OPTIONAL_COLUMNS = ["val_accuracy"]
 
-_SCORE_KEYS = {
-    "score_v1": "V1",
-    "score_v2": "V2",
-    "score_v4": "V4",
-    "score_it": "IT",
-    "score_behavior": "behavior",
-}
+def _parse_spc(text: str):
+    if text == "full":
+        return "full"
+    return int(text)
+
+
+# The run-table columns other than the scores, in file order: (column, parser,
+# optional). Each fills the RunRecord field of its name; an optional column may
+# be absent or empty, which leaves its field None.
+_FIELD_COLUMNS = (
+    ("run_id", str, False),
+    ("family", str, False),
+    ("arch", str, False),
+    ("dataset", str, False),
+    ("samples_per_class", _parse_spc, False),
+    ("seed", int, False),
+    ("n_params", int, False),
+    ("samples_seen", int, False),
+    ("flops", float, False),
+    ("val_accuracy", float, True),
+)
+# The column holding each region's score; the scores follow the mandatory fields.
+SCORE_COLUMNS = {region: f"score_{region.lower()}" for region in REGIONS}
+CSV_COLUMNS = [
+    *(c for c, _, optional in _FIELD_COLUMNS if not optional),
+    *SCORE_COLUMNS.values(),
+]
+OPTIONAL_COLUMNS = [c for c, _, optional in _FIELD_COLUMNS if optional]
 
 FORMAT_VERSION = "1"
 
@@ -124,28 +128,13 @@ def _parse_score(value: float) -> float:
     return float(value)
 
 
-def _parse_spc(text: str):
-    if text == "full":
-        return "full"
-    return int(text)
-
-
 def _row_to_record(row: dict) -> RunRecord:
-    scores = {region: _parse_score(float(row[col])) for col, region in _SCORE_KEYS.items()}
-    va = row.get("val_accuracy")
-    return RunRecord(
-        run_id=row["run_id"],
-        family=row["family"],
-        arch=row["arch"],
-        dataset=row["dataset"],
-        samples_per_class=_parse_spc(row["samples_per_class"]),
-        seed=int(row["seed"]),
-        n_params=int(row["n_params"]),
-        samples_seen=int(row["samples_seen"]),
-        flops=float(row["flops"]),
-        scores=scores,
-        val_accuracy=float(va) if va not in (None, "") else None,
-    )
+    fields = {}
+    for col, parse, _ in _FIELD_COLUMNS:
+        text = row.get(col)
+        fields[col] = parse(text) if text else None
+    scores = {region: _parse_score(float(row[col])) for region, col in SCORE_COLUMNS.items()}
+    return RunRecord(scores=scores, **fields)
 
 
 def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
@@ -163,7 +152,7 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
 
     records, errors, seen_ids = [], [], set()
     for i, row in enumerate(rows, start=1):
-        missing = [c for c in CSV_COLUMNS if c not in row or row[c] == ""]
+        missing = [c for c in CSV_COLUMNS if not row.get(c)]  # a short CSV row holds None
         if missing:
             errors.append(f"row {i}: missing column(s) {', '.join(missing)}")
             continue
@@ -235,20 +224,13 @@ def _average_seeds(table: RunTable) -> RunTable:
 
 
 def _record_to_row(rec: RunRecord) -> dict:
-    row = {
-        "run_id": rec.run_id,
-        "family": rec.family,
-        "arch": rec.arch,
-        "dataset": rec.dataset,
-        "samples_per_class": str(rec.samples_per_class),
-        "seed": str(rec.seed),
-        "n_params": str(rec.n_params),
-        "samples_seen": str(rec.samples_seen),
-        "flops": repr(rec.flops),
-    }
-    for col, region in _SCORE_KEYS.items():
-        row[col] = repr(rec.scores[region])
-    row["val_accuracy"] = repr(rec.val_accuracy) if rec.val_accuracy is not None else ""
+    """`rec` as a run-table row: every value through str, an absent optional one as None."""
+    row = {}
+    for col, _, _ in _FIELD_COLUMNS:
+        value = getattr(rec, col)
+        row[col] = None if value is None else str(value)
+    for region, col in SCORE_COLUMNS.items():
+        row[col] = str(rec.scores[region])
     return row
 
 
@@ -262,12 +244,7 @@ def export(table: RunTable, path, format: str = "csv") -> None:
             for rec in table.rows:
                 writer.writerow(_record_to_row(rec))
     elif format == "json":
-        rows = []
-        for rec in table.rows:
-            row = _record_to_row(rec)
-            if row["val_accuracy"] == "":
-                row["val_accuracy"] = None
-            rows.append(row)
+        rows = [_record_to_row(rec) for rec in table.rows]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")

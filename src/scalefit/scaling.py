@@ -64,9 +64,6 @@ class Rescale:
         raise ValueError(f"unknown x_kind {x_kind!r}")
 
 
-IDENTITY_RESCALE = Rescale(1.0, 1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     huber: HuberParams = HuberParams(1e-3)

@@ -256,10 +256,24 @@ class TestAllocate:
         assert payload["coefficients"]["a_prime"] + payload["coefficients"]["b_prime"] == 1.0
 
     def test_allocate_requires_compute_model_source(self, tmp_path, joint_report):
-        assert run(
-            "allocate", "--fit-report", str(joint_report),
-            "--budget", "1e9", "--output", str(tmp_path / "a.json"),
-        ) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "allocate", "--fit-report", str(joint_report),
+                "--budget", "1e9", "--output", str(tmp_path / "a.json"),
+            )
+        assert exc.value.code == 2
+
+    def test_compute_model_xor_input_is_usage_error(self, tmp_path, joint_report):
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"m": 6.0, "n": 1.0, "spec_version": "1.0"}))
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "allocate", "--fit-report", str(joint_report), "--compute-model", str(cm),
+                "--input", str(tmp_path / "missing.csv"),
+                "--budget", "1e9", "--output", str(tmp_path / "a.json"),
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "a.json").exists()
 
     def test_compute_model_missing_field_is_error(self, tmp_path, joint_report, capsys):
         cm = tmp_path / "cm.json"
@@ -414,6 +428,34 @@ class TestScore:
             "--ceiling", "1.0", "--append-to", str(tmp_path / "runs.csv"), "--output", str(out),
         ) == 1
         assert not out.exists()
+
+    def test_append_out_of_range_score_writes_nothing(self, tmp_path, capsys):
+        acts, recs = tmp_path / "a.csv", tmp_path / "r.csv"
+        assert run(
+            "simulate", "--kind", "benchmark", "--stimuli", "60", "--rho", "0.8", "--seed", "1",
+            "--activations", str(acts), "--recordings", str(recs),
+            "--output", str(tmp_path / "m.json"),
+        ) == 0
+        runs = tmp_path / "runs.csv"
+        assert run(
+            "simulate", "--kind", "curve", "--form", "power",
+            "--E", "0.3", "--A", "0.5", "--alpha", "0.2",
+            "--x-min", "1", "--x-max", "1e4", "--n-points", "5",
+            "--as-runs", "--output", str(runs),
+        ) == 0
+        before = runs.read_bytes()
+        out = tmp_path / "s.json"
+        # raw ~0.8 over a 0.5 ceiling: a ceiled score of ~1.6, which ingest rejects
+        with pytest.warns(UserWarning, match="exceeds 1"):
+            code = run(
+                "score", "--kind", "neural", "--activations", str(acts), "--recordings", str(recs),
+                "--ceiling", "0.5", "--output", str(out), "--append-to", str(runs),
+                "--run-id", "sim0",
+            )
+        assert code == 1
+        assert "error: score" in capsys.readouterr().err
+        assert not out.exists()
+        assert runs.read_bytes() == before
 
     def test_mismatched_stimulus_ids(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scalefit.records import (
@@ -76,6 +78,11 @@ class TestIngest:
         with pytest.raises(IngestError, match="flops"):
             ingest(write_csv(tmp_path, [header, ROW]))
 
+    def test_short_row_reports_missing_columns(self, tmp_path):
+        short = ROW.rsplit(",", 3)[0]
+        with pytest.raises(IngestError, match="row 1: missing column.*score_behavior"):
+            ingest(write_csv(tmp_path, [HEADER, short]))
+
     def test_malformed_row_reports_index(self, tmp_path):
         bad = ROW.replace("9.2e15", "not-a-number")
         ok = ROW.replace("r1", "r2")
@@ -103,8 +110,12 @@ class TestIngest:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_ingest_export_identity(self, tmp_path, fmt):
+    @pytest.mark.parametrize(
+        "fmt, numpy_scalars",
+        [("csv", False), ("json", False), ("csv", True), ("json", True)],
+        ids=["csv", "json", "csv-numpy", "json-numpy"],
+    )
+    def test_ingest_export_identity(self, tmp_path, fmt, numpy_scalars):
         path = write_csv(
             tmp_path,
             [
@@ -115,6 +126,18 @@ class TestRoundTrip:
             ],
         )
         table = ingest(path)
+        if numpy_scalars:
+            # records built from numpy results must still export as plain numbers
+            table = RunTable(
+                rows=tuple(
+                    replace(
+                        r,
+                        flops=np.float64(r.flops),
+                        scores={k: np.float64(v) for k, v in r.scores.items()},
+                    )
+                    for r in table.rows
+                )
+            )
         out = tmp_path / f"out.{fmt}"
         export(table, out, format=fmt)
         table2 = ingest(out, format=fmt)

@@ -106,9 +106,16 @@ COMMANDS = [
      "--output", "err_behavior.json"],
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--ceiling", "1", "--append-to", "runs.csv", "--output", "err_append.json"],
+    # a ceiled score above the run table's range; no later command reads runs_samples.csv
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
+     "--ceiling", "0.5", "--append-to", "runs_samples.csv", "--run-id", "sim0",
+     "--output", "err_append_range.json"],
     ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm_no_n.json",
      "--budget", "1e9", "--output", "err_alloc.json"],
+    ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
+     "--input", "runs.csv", "--budget", "1e9", "--output", "err_alloc_both.json"],
     ["report", "--fit", "IT=list.json", "--output", "err_gains.csv"],
+    ["ingest", "--input", "short.csv", "--output", "err_short.csv"],
 ]
 
 TABLE_HEADER = (
@@ -126,9 +133,11 @@ TABLE_ROWS = [
 
 
 def write_inputs():
-    """Inputs no CLI command writes: a run table, compute models, behavior CSVs, a bad report."""
+    """Inputs no CLI command writes: run tables, compute models, behavior CSVs, a bad report."""
     with open("table.csv", "w", encoding="utf-8") as fh:
         fh.write("\n".join([TABLE_HEADER, *TABLE_ROWS]) + "\n")
+    with open("short.csv", "w", encoding="utf-8") as fh:  # a row missing its last four fields
+        fh.write("\n".join([TABLE_HEADER, TABLE_ROWS[0].rsplit(",", 4)[0]]) + "\n")
     for name, payload in [
         ("cm.json", {"m": 6.0, "n": 1.0, "r2": 1.0, "spec_version": "1.0"}),
         ("cm_no_n.json", {"m": 6.0, "spec_version": "1.0"}),
