@@ -21,6 +21,10 @@ __all__ = [
 
 NEURAL_REGIONS = ("V1", "V2", "V4", "IT")
 
+# Smallest eigenvalue ratio at which neural_score solves a split's normal
+# equations directly; below it the split falls back to min-norm lstsq.
+_GRAM_EIG_RATIO = 1e-8
+
 
 @dataclass
 class BenchmarkData:
@@ -90,20 +94,27 @@ class ScoreReport:
     aggregate: str = "median"
 
 
+def _column_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each column of x with the same column of y.
+
+    Exact at +-1 for (anti-)identical columns; NaN where a column is constant.
+    """
+    a = x - x.mean(axis=0)
+    b = y - y.mean(axis=0)
+    num = (a * b).sum(axis=0)
+    den = (a * a).sum(axis=0) * (b * b).sum(axis=0)
+    # num^2/den == 1 bit-exactly when b == +-a, because both sides are the
+    # same computed product; plain num/sqrt(den) can land one ulp off 1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.copysign(np.sqrt(np.minimum(num * num / den, 1.0)), num)
+    return np.where(den == 0.0, np.nan, r)
+
+
 def pearson(x, y) -> float:
     """Pearson correlation, exact at +-1 for (anti-)identical inputs."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    a = x - x.mean()
-    b = y - y.mean()
-    num = float(a @ b)
-    den = float(a @ a) * float(b @ b)
-    if den == 0.0:
-        return float("nan")
-    # num^2/den == 1 bit-exactly when b == +-a, because both sides are the
-    # same computed product; plain num/sqrt(den) can land one ulp off 1.
-    r = np.copysign(np.sqrt(min(num * num / den, 1.0)), num)
-    return float(r)
+    return float(_column_pearson(x[:, None], y[:, None])[0])
 
 
 def ceiling_normalize(raw: float, ceiling: float) -> float:
@@ -114,17 +125,6 @@ def ceiling_normalize(raw: float, ceiling: float) -> float:
     if out > 1.0:
         warnings.warn(f"ceiled score {out:.4f} exceeds 1", stacklevel=2)
     return out
-
-
-def _fit_linear_map(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
-    """Multi-output linear map with intercept; min-norm lstsq when ridge=0."""
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    if ridge > 0:
-        reg = ridge * np.eye(Xa.shape[1])
-        reg[-1, -1] = 0.0  # intercept not shrunk
-        return np.linalg.solve(Xa.T @ Xa + reg, Xa.T @ Y)
-    W, *_ = np.linalg.lstsq(Xa, Y, rcond=None)
-    return W
 
 
 def neural_score(
@@ -138,44 +138,64 @@ def neural_score(
     """Cross-validated linear readout score.
 
     Each repeat draws a seeded random train/test split, fits a linear map
-    from activations to recordings on the train split, and computes the
-    Pearson correlation per neuroid on held-out stimuli. Neuroids are
-    combined by `aggregate` (median by default), repeats by the mean.
+    with intercept from activations to recordings on the train split, and
+    computes the Pearson correlation per neuroid on held-out stimuli.
+    Neuroids are combined by `aggregate` (median by default), repeats by
+    the mean.
+
+    The normal equations XᵀX and XᵀY are formed once over all stimuli, and
+    each split subtracts its held-out rows. With ``ridge > 0`` the split
+    solves XᵀX + ridge·I (intercept not shrunk). With ``ridge == 0`` a
+    split whose XᵀX is singular or ill-conditioned (eigenvalue ratio at
+    most ``_GRAM_EIG_RATIO``, or no more training stimuli than weights)
+    takes the min-norm least-squares solution on its training rows.
     """
     n = data.activations.shape[0]
     if n < 20:
         raise ValueError("need at least 20 stimuli")
     if not 0.5 < train_fraction <= 0.95:
         raise ValueError("train_fraction must lie in (0.5, 0.95]")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     if aggregate not in ("median", "mean"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
     n_train = round(train_fraction * n)
     if n - n_train < 3:
         raise ValueError("too few held-out stimuli (< 3)")
 
+    X = np.hstack([data.activations, np.ones((n, 1))])
+    Y = data.recordings
+    p, q = X.shape[1], Y.shape[1]
+    use_gram = ridge > 0 or n_train > p  # else the Gram matrix outgrows X
+    if use_gram:
+        G, XY = X.T @ X, X.T @ Y
+        reg = ridge * np.eye(p)
+        reg[-1, -1] = 0.0  # intercept not shrunk
     rng = np.random.default_rng(seed)
-    q = data.recordings.shape[1]
     repeat_scores = []
     per_neuroid_sum = np.zeros(q)
     per_neuroid_cnt = np.zeros(q)
     for _ in range(repeats):
         perm = rng.permutation(n)
         tr, te = perm[:n_train], perm[n_train:]
-        W = _fit_linear_map(data.activations[tr], data.recordings[tr], ridge)
-        Xte = np.hstack([data.activations[te], np.ones((len(te), 1))])
-        pred = Xte @ W
-        actual = data.recordings[te]
-        rs = np.full(q, np.nan)
-        for j in range(q):
-            if np.ptp(actual[:, j]) == 0.0:
-                warnings.warn(
-                    f"neuroid {j}: zero variance on held-out split, excluded",
-                    stacklevel=2,
-                )
-                continue
-            r = pearson(pred[:, j], actual[:, j])
-            rs[j] = 0.0 if np.isnan(r) else r  # constant prediction: no predictivity
-        valid = ~np.isnan(rs)
+        Xte, actual = X[te], Y[te]
+        W = None
+        if use_gram:
+            Gtr = G - Xte.T @ Xte + reg
+            if ridge > 0 or _well_conditioned(Gtr):
+                W = np.linalg.solve(Gtr, XY - Xte.T @ actual)
+        if W is None:
+            W = np.linalg.lstsq(X[tr], Y[tr], rcond=None)[0]
+        zero_var = np.ptp(actual, axis=0) == 0.0
+        for j in np.flatnonzero(zero_var):
+            warnings.warn(
+                f"neuroid {j}: zero variance on held-out split, excluded",
+                stacklevel=2,
+            )
+        rs = _column_pearson(Xte @ W, actual)
+        rs[np.isnan(rs)] = 0.0  # constant prediction: no predictivity
+        rs[zero_var] = np.nan
+        valid = ~zero_var
         per_neuroid_sum[valid] += rs[valid]
         per_neuroid_cnt[valid] += 1
         agg = np.median(rs[valid]) if aggregate == "median" else np.mean(rs[valid])
@@ -193,6 +213,12 @@ def neural_score(
         seed=seed,
         aggregate=aggregate,
     )
+
+
+def _well_conditioned(gram: np.ndarray) -> bool:
+    """Whether a symmetric Gram matrix is safe to solve directly."""
+    eig = np.linalg.eigvalsh(gram)
+    return bool(eig[0] > eig[-1] * _GRAM_EIG_RATIO)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -246,12 +272,7 @@ def confusion_pattern(
     class order (the true class is skipped).
     """
     true_labels = np.asarray(true_labels)
-    out = []
-    for i in range(probs.shape[0]):
-        for j, c in enumerate(classes):
-            if c != true_labels[i]:
-                out.append(probs[i, j])
-    return np.array(out)
+    return probs[np.asarray(classes)[None, :] != true_labels[:, None]]
 
 
 def behavior_score(data: BehaviorData, seed: int = 0) -> ScoreReport:

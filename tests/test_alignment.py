@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,59 @@ from scalefit.synth import BenchmarkGenerator, gen_behavior_task, gen_benchmark
 def bench(noise_sigma=0.0, seed=0, ceiling=1.0, **kw):
     g = BenchmarkGenerator(noise_sigma=noise_sigma, seed=seed, **kw)
     return gen_benchmark(g, ceiling=ceiling)
+
+
+def benchmark_data(acts, recs):
+    return BenchmarkData(
+        stimulus_ids=list(range(acts.shape[0])), activations=acts, recordings=recs,
+        ceiling=1.0, region="IT",
+    )
+
+
+def reference_neural_score(data, repeats=10, train_fraction=0.9, seed=0, ridge=0.0):
+    """(raw, per_neuroid) from a per-split fit on the training rows and a per-neuroid pearson."""
+    n, q = data.recordings.shape
+    n_train = round(train_fraction * n)
+    rng = np.random.default_rng(seed)
+    scores, sums, counts = [], np.zeros(q), np.zeros(q)
+    for _ in range(repeats):
+        perm = rng.permutation(n)
+        tr, te = perm[:n_train], perm[n_train:]
+        Xtr = np.hstack([data.activations[tr], np.ones((n_train, 1))])
+        Ytr = data.recordings[tr]
+        if ridge > 0:
+            reg = ridge * np.eye(Xtr.shape[1])
+            reg[-1, -1] = 0.0
+            W = np.linalg.solve(Xtr.T @ Xtr + reg, Xtr.T @ Ytr)
+        else:
+            W = np.linalg.lstsq(Xtr, Ytr, rcond=None)[0]
+        pred = np.hstack([data.activations[te], np.ones((len(te), 1))]) @ W
+        actual = data.recordings[te]
+        rs = np.full(q, np.nan)
+        for j in range(q):
+            if np.ptp(actual[:, j]) > 0.0:
+                r = pearson(pred[:, j], actual[:, j])
+                rs[j] = 0.0 if np.isnan(r) else r
+        ok = ~np.isnan(rs)
+        sums[ok] += rs[ok]
+        counts[ok] += 1
+        scores.append(np.median(rs[ok]))
+    with np.errstate(invalid="ignore"):
+        return float(np.mean(scores)), np.where(counts > 0, sums / counts, np.nan)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Count the np.linalg.lstsq calls made while the test runs."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
 
 
 class TestPearson:
@@ -148,6 +203,8 @@ class TestNeuralScore:
 
     def test_validation_errors(self):
         sb = bench()
+        with pytest.raises(ValueError, match="repeats"):
+            neural_score(sb.data, repeats=0)
         with pytest.raises(ValueError, match="train_fraction"):
             neural_score(sb.data, train_fraction=0.3)
         with pytest.raises(ValueError, match="aggregate"):
@@ -161,6 +218,61 @@ class TestNeuralScore:
                 region="IT",
             )
             neural_score(small)
+
+
+class TestNeuralScoreSolvePaths:
+    """Each way a split is solved matches a per-split fit on its training rows."""
+
+    def check(self, data, lstsq_calls, **kw):
+        """The score of `data` and the lstsq calls it made, checked against the reference."""
+        rep = neural_score(data, **kw)
+        n_lstsq = len(lstsq_calls)
+        raw, per_neuroid = reference_neural_score(data, **kw)
+        assert rep.raw == pytest.approx(raw, abs=1e-12)
+        np.testing.assert_allclose(rep.per_neuroid, per_neuroid, rtol=0, atol=1e-12)
+        return rep, n_lstsq
+
+    def test_well_conditioned_takes_gram_path(self, lstsq_calls):
+        g = BenchmarkGenerator(n_stimuli=300, n_features=20, n_neuroids=12,
+                               noise_sigma=0.75, seed=21)
+        assert self.check(gen_benchmark(g).data, lstsq_calls, seed=3)[1] == 0
+
+    def test_rank_deficient_falls_back(self, lstsq_calls):
+        g = BenchmarkGenerator(n_stimuli=30, n_features=40, n_neuroids=6,
+                               noise_sigma=0.3, seed=22)
+        assert self.check(gen_benchmark(g).data, lstsq_calls, seed=4)[1] == 10
+
+    def test_ill_conditioned_falls_back(self, lstsq_calls):
+        rng = np.random.default_rng(23)
+        acts = rng.standard_normal((200, 6))
+        acts[:, 5] = acts[:, 4] + 1e-7 * rng.standard_normal(200)
+        recs = acts @ rng.standard_normal((6, 5)) + 0.5 * rng.standard_normal((200, 5))
+        X = np.hstack([acts, np.ones((200, 1))])
+        eig = np.linalg.eigvalsh(X.T @ X)
+        assert eig[0] < 1e-8 * eig[-1]
+        assert self.check(benchmark_data(acts, recs), lstsq_calls, seed=5)[1] == 10
+
+    def test_ridge_matches_training_normal_equations(self, lstsq_calls):
+        sb = bench(noise_sigma=0.6, seed=24, n_stimuli=150, n_features=12, n_neuroids=9)
+        assert self.check(sb.data, lstsq_calls, seed=6, ridge=0.1)[1] == 0
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_zero_variance_and_constant_prediction(self, lstsq_calls, ridge):
+        # Zero activations: every prediction is the intercept, a constant.
+        rng = np.random.default_rng(25)
+        recs = rng.standard_normal((40, 4))
+        recs[:, 0] = 0.42
+        recs[:, 2] = -1.0
+        data = benchmark_data(np.zeros((40, 3)), recs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep, _ = self.check(data, lstsq_calls, repeats=3, seed=7, ridge=ridge)
+        assert [str(w.message) for w in caught] == [
+            f"neuroid {j}: zero variance on held-out split, excluded" for j in (0, 2)
+        ] * 3
+        assert np.isnan(rep.per_neuroid[[0, 2]]).all()
+        assert np.array_equal(rep.per_neuroid[[1, 3]], [0.0, 0.0])
+        assert rep.raw == 0.0
 
 
 class TestBenchmarkDataInvariants:
@@ -201,6 +313,22 @@ class TestConfusionPattern:
         probs = np.full((5, 4), 0.25)
         pat = confusion_pattern(probs, np.zeros(5, dtype=int), np.arange(4))
         assert pat.shape == (15,)
+
+    def test_matches_loop_with_string_labels(self):
+        rng = np.random.default_rng(26)
+        names = np.array(["ant", "bee", "cat", "dog"])
+        labels = [str(x) for x in rng.choice(names, size=25)]  # as the CLI reads them
+        classes = np.unique(labels)
+        probs = rng.random((25, classes.size))
+        expected = np.array([
+            probs[i, j]
+            for i in range(probs.shape[0])
+            for j, c in enumerate(classes)
+            if c != labels[i]
+        ])
+        pat = confusion_pattern(probs, labels, classes)
+        assert pat.dtype == expected.dtype
+        assert np.array_equal(pat, expected)
 
 
 class TestBehaviorScore:

@@ -457,6 +457,21 @@ class TestScore:
         assert not out.exists()
         assert runs.read_bytes() == before
 
+    def test_zero_repeats_is_error(self, tmp_path, capsys):
+        acts, recs = tmp_path / "a.csv", tmp_path / "r.csv"
+        assert run(
+            "simulate", "--kind", "benchmark", "--stimuli", "40",
+            "--activations", str(acts), "--recordings", str(recs),
+            "--output", str(tmp_path / "m.json"),
+        ) == 0
+        out = tmp_path / "s.json"
+        assert run(
+            "score", "--kind", "neural", "--activations", str(acts), "--recordings", str(recs),
+            "--ceiling", "1.0", "--repeats", "0", "--output", str(out),
+        ) == 1
+        assert "error: repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_stimulus_ids(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("stim_id,f0\ns0,1.0\ns1,2.0\n")

@@ -46,6 +46,10 @@ COMMANDS = [
     [*RUNS, "--x-kind", "samples", "--seed", "2", "--output", "runs_samples.csv"],
     ["simulate", "--kind", "benchmark", "--stimuli", "60", "--rho", "0.8", "--seed", "1",
      "--activations", "acts.csv", "--recordings", "recs.csv", "--output", "bench.json"],
+    # more features than stimuli: every split is rank-deficient
+    ["simulate", "--kind", "benchmark", "--stimuli", "30", "--features", "40", "--noise", "0.3",
+     "--seed", "2", "--activations", "acts_wide.csv", "--recordings", "recs_wide.csv",
+     "--output", "bench_wide.json"],
     # ingest: csv and json, seed averaging, both filters
     ["ingest", "--input", "table.csv", "--average-seeds", "--output", "avg.json",
      "--output-format", "json"],
@@ -84,10 +88,14 @@ COMMANDS = [
      "--budget", "6e9", "--c-scale", "1", "--verify", "--output", "alloc_cm.json"],
     ["allocate", "--fit-report", "fit_joint.json", "--input", "runs.csv",
      "--budget", "1e20", "--verify", "--grid-points", "2001", "--output", "alloc_runs.json"],
-    # score: neural merged into a run table, behavioral
+    # score: neural merged into a run table, ridge, rank-deficient, behavioral
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--region", "V4", "--ceiling", "0.9", "--output", "score_v4.json",
      "--append-to", "runs.csv", "--run-id", "sim3"],
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
+     "--ridge", "0.1", "--ceiling", "0.9", "--output", "score_ridge.json"],
+    ["score", "--kind", "neural", "--activations", "acts_wide.csv", "--recordings", "recs_wide.csv",
+     "--region", "V1", "--ceiling", "1", "--output", "score_wide.json"],
     ["score", "--kind", "behavior", "--train", "train.csv", "--test", "test.csv",
      "--pattern", "pattern.csv", "--ceiling", "0.8", "--output", "score_behavior.json"],
     ["report", "--fit", "IT=fit_power.json", "--fit", "V4=fit_runs.json",
@@ -106,6 +114,8 @@ COMMANDS = [
      "--output", "err_behavior.json"],
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--ceiling", "1", "--append-to", "runs.csv", "--output", "err_append.json"],
+    ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
+     "--ceiling", "1", "--repeats", "0", "--output", "err_repeats.json"],
     # a ceiled score above the run table's range; no later command reads runs_samples.csv
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--ceiling", "0.5", "--append-to", "runs_samples.csv", "--run-id", "sim0",
