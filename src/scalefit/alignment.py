@@ -143,12 +143,15 @@ def neural_score(
     Neuroids are combined by `aggregate` (median by default), repeats by
     the mean.
 
-    The normal equations XᵀX and XᵀY are formed once over all stimuli, and
-    each split subtracts its held-out rows. With ``ridge > 0`` the split
-    solves XᵀX + ridge·I (intercept not shrunk). With ``ridge == 0`` a
+    The normal equations XᵀX and XᵀY are formed once over all stimuli, from
+    features centered on their all-stimulus mean (the intercept absorbs
+    the shift, so a large feature mean does not make XᵀX look
+    ill-conditioned), and each split subtracts its held-out rows. With
+    ``ridge > 0`` the split solves XᵀX + ridge·I (intercept not shrunk). With ``ridge == 0`` a
     split whose XᵀX is singular or ill-conditioned (eigenvalue ratio at
     most ``_GRAM_EIG_RATIO``, or no more training stimuli than weights)
-    takes the min-norm least-squares solution on its training rows.
+    takes the min-norm least-squares solution on its training rows, with
+    uncentered features, since a min-norm solution depends on the shift.
     """
     n = data.activations.shape[0]
     if n < 20:
@@ -163,12 +166,14 @@ def neural_score(
     if n - n_train < 3:
         raise ValueError("too few held-out stimuli (< 3)")
 
-    X = np.hstack([data.activations, np.ones((n, 1))])
-    Y = data.recordings
-    p, q = X.shape[1], Y.shape[1]
+    A, Y = data.activations, data.recordings
+    p, q = A.shape[1] + 1, Y.shape[1]
     use_gram = ridge > 0 or n_train > p  # else the Gram matrix outgrows X
+    X = None  # uncentered, built by the first split that falls back
     if use_gram:
-        G, XY = X.T @ X, X.T @ Y
+        Xc = np.hstack([A, np.ones((n, 1))])
+        Xc[:, :-1] -= A.mean(axis=0)
+        G, XY = Xc.T @ Xc, Xc.T @ Y
         reg = ridge * np.eye(p)
         reg[-1, -1] = 0.0  # intercept not shrunk
     rng = np.random.default_rng(seed)
@@ -178,13 +183,17 @@ def neural_score(
     for _ in range(repeats):
         perm = rng.permutation(n)
         tr, te = perm[:n_train], perm[n_train:]
-        Xte, actual = X[te], Y[te]
+        actual = Y[te]
         W = None
         if use_gram:
+            Xte = Xc[te]
             Gtr = G - Xte.T @ Xte + reg
             if ridge > 0 or _well_conditioned(Gtr):
                 W = np.linalg.solve(Gtr, XY - Xte.T @ actual)
         if W is None:
+            if X is None:
+                X = np.hstack([A, np.ones((n, 1))])
+            Xte = X[te]
             W = np.linalg.lstsq(X[tr], Y[tr], rcond=None)[0]
         zero_var = np.ptp(actual, axis=0) == 0.0
         for j in np.flatnonzero(zero_var):

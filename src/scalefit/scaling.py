@@ -9,7 +9,10 @@ terms, started from a grid of initializations and solved by BFGS:
   joint:   L = E + A N^-alpha + B D^-beta
 
 E, A, B are optimized in log space (e = log E, ...), so they are
-nonnegative by construction.
+nonnegative by construction. Power and shifted fits start from the product
+of every parameter's grid. Joint fits start from the grid of the exponents
+only: at each (alpha, beta) node the curve is linear in (E, A, B), which
+are solved by nonnegative least squares (variable projection).
 """
 from __future__ import annotations
 
@@ -66,12 +69,21 @@ class Rescale:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Loss, start grids, rescale and optimizer of a fit.
+
+    Power and shifted fits start from the product of the grids of their
+    parameters. Joint fits read only `grid_alpha` and `grid_beta` (which
+    mirrors `grid_alpha` while None) and solve (E, A, B) at each node, so
+    `grid_e` and `grid_a` do not affect them, and `grid_b` is read by no
+    fit; it stays so existing callers keep working.
+    """
+
     huber: HuberParams = HuberParams(1e-3)
     grid_e: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
     grid_a: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     grid_alpha: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
     grid_lambda: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
-    # b and beta initializations mirror a and alpha unless overridden.
+    # b and beta start values mirror a and alpha unless overridden.
     grid_b: tuple | None = None
     grid_beta: tuple | None = None
     rescale: Rescale = field(default_factory=Rescale)
@@ -315,6 +327,76 @@ def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
     return _shared_objective(_power_fg, (logX, logL), delta)
 
 
+# Start value of a linear coefficient the projection solves as zero, so
+# its logarithm is finite.
+_COEF_FLOOR = 1e-12
+
+# Every nonempty support of the projection's three columns, smallest first.
+_SUPPORTS = [list(s) for k in (1, 2, 3) for s in itertools.combinations(range(3), k)]
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinant of each trailing k x k block of M, k <= 3, by cofactors of row 0."""
+    if M.shape[-1] == 1:
+        return M[..., 0, 0]
+    return sum(
+        (-1) ** j * M[..., 0, j] * _det(np.delete(M[..., 1:, :], j, axis=-1))
+        for j in range(M.shape[-1])
+    )
+
+
+def _nonneg_lstsq(U: np.ndarray) -> np.ndarray:
+    """x >= 0 minimizing ||x @ U - 1|| for each leading row of U (K, 3, n).
+
+    Every nonempty support of the 3 columns is solved from its normal
+    equations by Cramer's rule; the feasible solution (finite, all >= 0)
+    with the least sum of squares wins, the smaller support on a tie. A
+    one-column support of a positive U is always feasible. A support with
+    two equal columns has a zero determinant, so its non-finite solution
+    is skipped. Elementwise numpy only, so the result does not depend on
+    the BLAS build or thread count.
+    """
+    K = len(U)
+    M = np.sum(U[:, :, None, :] * U[:, None, :, :], axis=-1)
+    r = np.sum(U, axis=-1)
+    best, best_sse = np.zeros((K, 3)), np.full(K, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for S in _SUPPORTS:
+            Ms = M[:, S][:, :, S]
+            det = _det(Ms)
+            x = np.zeros((K, 3))
+            for i, j in enumerate(S):
+                Mi = Ms.copy()
+                Mi[:, :, i] = r[:, S]
+                x[:, j] = _det(Mi) / det
+            sse = np.sum((np.sum(x[:, S, None] * U[:, S], axis=1) - 1.0) ** 2, axis=-1)
+            better = np.all(np.isfinite(x) & (x >= 0), axis=1) & (sse < best_sse)
+            best[better], best_sse[better] = x[better], sse[better]
+    return best
+
+
+def _joint_project(data, nodes) -> list:
+    """Joint starts (e, a, alpha, b, beta), one per (alpha, beta) node.
+
+    At fixed exponents L = E + A N^-alpha + B D^-beta is linear in (E, A,
+    B), which are solved by nonnegative least squares on residuals
+    relative to L; a zero coefficient starts at _COEF_FLOOR.
+    """
+    logN, logD, logL = data
+    alpha, beta = np.array(nodes, dtype=float).T
+    with np.errstate(over="ignore"):
+        U = np.stack(
+            [
+                np.broadcast_to(np.exp(-logL), (len(alpha), len(logL))),
+                np.exp(-alpha[:, None] * logN - logL),
+                np.exp(-beta[:, None] * logD - logL),
+            ],
+            axis=1,
+        )
+    e, a, b = np.log(np.maximum(_nonneg_lstsq(U), _COEF_FLOOR)).T
+    return [tuple(map(float, row)) for row in zip(e, a, alpha, b, beta)]
+
+
 @dataclass(frozen=True)
 class _Param:
     """One curve parameter, as the fits, reports and start grids name it."""
@@ -349,7 +431,9 @@ class _Form:
     """Everything that sets one curve form apart, for fitting, bootstrap and CLI.
 
     A fit's parameter vector holds `params` in order, the log ones as
-    logarithms; its start grid is the product of their axes. The form's
+    logarithms. Its start grid is the product of their axes, or, for a form
+    with `project`, of the other parameters' axes only: the log parameters
+    are then linear coefficients, solved at each node. The form's
     fit class records the rescale divisor of each resource column in the
     matching `scales` field, and a form in one resource x also its x_kind.
     """
@@ -362,6 +446,7 @@ class _Form:
     data: Callable  # (points, cfg, x_kind) -> per-point arrays; validates
     fg: Callable  # (P, *data, hp, need_grad) -> values[, gradients]
     options: tuple = ()  # keyword options of the fit_* function beyond x_kind
+    project: Callable | None = None  # (data, nodes) -> one start per node
 
     @property
     def resources(self) -> tuple:
@@ -377,8 +462,14 @@ class _Form:
         """The resource kind of each resource column."""
         return tuple(_COLUMN_KINDS.get(c, x_kind) for c in self.resources)
 
-    def inits(self, cfg: FitConfig) -> list:
-        return list(itertools.product(*(p.axis(cfg) for p in self.params)))
+    def grid(self, cfg: FitConfig) -> list:
+        """The start grid's nodes in `cfg`."""
+        axes = (p.axis(cfg) for p in self.params if self.project is None or not p.log)
+        return list(itertools.product(*axes))
+
+    def starts(self, data, nodes: list) -> list:
+        """The parameter vectors a fit of `data` starts from, one per node of `grid`."""
+        return nodes if self.project is None else self.project(data, nodes)
 
     def result(self, best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
         values = {p.field: float(np.exp(v) if p.log else v) for p, v in zip(self.params, best)}
@@ -416,7 +507,7 @@ _FORMS = {
     "joint": _Form(
         JointFit, "fit_joint",
         params=(_E, _A, _ALPHA, _B, _BETA), columns=("n", "d", "l"), scales=("n_scale", "d_scale"),
-        data=_joint_data, fg=_joint_fg,
+        data=_joint_data, fg=_joint_fg, project=_joint_project,
     ),
 }
 
@@ -440,12 +531,12 @@ def _select_best(Xs, fs, conv, inits):
 
 
 def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
-    """Validate, minimize from every grid start, keep the best start."""
+    """Validate, minimize from every start, keep the best start."""
     form = _FORMS[kind]
     data = form.data(points, cfg, x_kind)
     shared = [a[None, :] for a in data]
     fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
-    inits = form.inits(cfg)
+    inits = form.starts(data, form.grid(cfg))
     P, fvals, _, conv, _ = minimize_batch(fg, np.array(inits, dtype=float), cfg.optimizer)
     best, obj, converged, init = _select_best(P, fvals, conv, inits)
     return form.result(best, obj, converged, init, cfg, x_kind, len(data[0]))
@@ -471,7 +562,11 @@ def fit_shifted_power_law(
 
 
 def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
-    """Fit L = E + A N^-alpha + B D^-beta; b/beta grids mirror a/alpha."""
+    """Fit L = E + A N^-alpha + B D^-beta.
+
+    Starts at every (alpha, beta) node of grid_alpha x grid_beta (which
+    mirrors grid_alpha while None), with (E, A, B) solved at the node.
+    """
     return _fit("joint", points, cfg, "flops")
 
 

@@ -87,9 +87,8 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     is built just before it is fitted.
     """
     form = _FORMS[fit_kind]
-    inits = form.inits(cfg)
-    P0 = np.array(inits, dtype=float)
-    starts = len(inits)
+    nodes = form.grid(cfg)
+    starts = len(nodes)
     by_len = {}
     for i, idx in enumerate(draws):
         by_len.setdefault(len(idx), []).append(i)
@@ -98,24 +97,27 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     for n, members in by_len.items():
         per_chunk = max(1, _CHUNK_ELEMS // (starts * n))
         for c in range(0, len(members), per_chunk):
-            chunk, datas = [], []
+            chunk, datas, inits = [], [], []
             for i in members[c : c + per_chunk]:
                 try:
-                    datas.append(form.data(points[draws[i]], cfg, x_kind))
+                    data = form.data(points[draws[i]], cfg, x_kind)
                 except ValueError:
                     continue
                 chunk.append(i)
+                datas.append(data)
+                inits.append(form.starts(data, nodes))
             if not chunk:
                 continue
             stacked = [np.stack(arrays) for arrays in zip(*datas)]
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
-            X, f, _, conv, _, started = _bfgs_rows(fg, np.tile(P0, (len(chunk), 1)), cfg.optimizer)
+            P0 = np.array([p for own in inits for p in own], dtype=float)
+            X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
             for j, i in enumerate(chunk):
                 rows = slice(j * starts, (j + 1) * starts)
                 if not np.all(started[rows]):
                     continue
                 try:
-                    best, obj, converged, init = _select_best(X[rows], f[rows], conv[rows], inits)
+                    best, obj, converged, init = _select_best(X[rows], f[rows], conv[rows], inits[j])
                 except RuntimeError:
                     continue
                 fits[i] = form.result(best, obj, converged, init, cfg, x_kind, n)
@@ -123,7 +125,11 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
 
 
 def _warm_cfg(fit_cfg: FitConfig, fit) -> FitConfig:
-    """Single-initialization config seeded at the point estimate."""
+    """Single-node start grid at the point estimate.
+
+    A joint fit's node is the estimate's (alpha, beta); each resample
+    solves its own (E, A, B) there.
+    """
     starts = {}
     for p in _FORMS[fit.form].params:
         value = getattr(fit, p.field)
@@ -144,7 +150,8 @@ def bootstrap_fit(
 
     With `cluster_ids`, whole clusters of rows are resampled instead of
     individual rows. `warm_start` refits each resample from the point
-    estimate only instead of the full initialization grid.
+    estimate only (for joint fits, from its exponents) instead of the full
+    start grid.
 
     The resamples are fitted together, in chunks of batched BFGS runs. The
     draws, the failed resamples and the intervals are those of fitting each

@@ -252,6 +252,16 @@ class TestNeuralScoreSolvePaths:
         assert eig[0] < 1e-8 * eig[-1]
         assert self.check(benchmark_data(acts, recs), lstsq_calls, seed=5)[1] == 10
 
+    @pytest.mark.parametrize("offset", [10.0, 100.0])
+    def test_offset_features_stay_on_gram_path(self, lstsq_calls, offset):
+        # Nonnegative activations with a large mean, as after a ReLU: the
+        # uncentered XᵀX looks ill-conditioned, the centered one does not.
+        g = BenchmarkGenerator(n_stimuli=300, n_features=100, n_neuroids=12,
+                               noise_sigma=0.75, seed=21)
+        data = gen_benchmark(g).data
+        shifted = benchmark_data(data.activations + offset, data.recordings)
+        assert self.check(shifted, lstsq_calls, seed=3)[1] == 0
+
     def test_ridge_matches_training_normal_equations(self, lstsq_calls):
         sb = bench(noise_sigma=0.6, seed=24, n_stimuli=150, n_features=12, n_neuroids=9)
         assert self.check(sb.data, lstsq_calls, seed=6, ridge=0.1)[1] == 0

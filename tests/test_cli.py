@@ -219,6 +219,26 @@ class TestFit:
         assert payload["target"] == "it"
         assert payload["params"]["alpha"] == pytest.approx(0.2, rel=0.01)
 
+    def test_joint_fit_at_default_rescale_reaches_unscaled_optimum(self, tmp_path):
+        # At the default rescale (N / 1e5, D / 1e4) the truth's log A is about -3.9.
+        pts = tmp_path / "joint.csv"
+        assert run(
+            "simulate", "--kind", "curve", "--form", "joint",
+            "--E", "0.3", "--A", "1.0", "--alpha", "0.34", "--B", "2.0", "--beta", "0.28",
+            "--grid-side", "6", "--sigma", "0.01", "--seed", "3", "--output", str(pts),
+        ) == 0
+        fits = {}
+        for name, flags in [("default", ()), ("raw", ("--no-rescale",))]:
+            out = tmp_path / f"{name}.json"
+            assert run(
+                "fit", "--form", "joint", "--x", "flops", "--points", str(pts), *flags,
+                "--output", str(out),
+            ) == 0
+            fits[name] = read_json(out)
+        assert fits["default"]["rescale"] == {"n_scale": 1e5, "d_scale": 1e4}
+        assert fits["default"]["objective"] == pytest.approx(fits["raw"]["objective"], rel=1e-9)
+        assert not fits["default"]["degenerate"]
+
 
 class TestAllocate:
     @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from scalefit.scaling import (
     PowerLawFit,
     Rescale,
     ShiftedPowerLawFit,
+    _COEF_FLOOR,
+    _FORMS,
+    _joint_project,
     _power_objective,
     fit_joint,
     fit_power_law,
@@ -183,6 +187,58 @@ class TestFitJoint:
         pts = np.array([[1.0, d, 0.5] for d in (1, 2, 3, 4, 5)], dtype=float)
         with pytest.raises(ValueError, match="span"):
             fit_joint(pts, ID_CFG)
+
+    def test_default_rescale_reaches_unscaled_optimum(self):
+        # `simulate --form joint --grid-side 6 --sigma 0.01 --seed 3` points; at
+        # the default rescale (N / 1e5, D / 1e4) the truth's log A is about -3.9.
+        g = CurveGenerator(
+            form="joint",
+            true_params={"E": 0.3, "A": 1.0, "alpha": 0.34, "B": 2.0, "beta": 0.28},
+            n_grid=tuple(np.logspace(0, 3, 6)),
+            d_grid=tuple(np.logspace(0, 3, 6)),
+            noise_sigma_log=0.01,
+            seed=3,
+        )
+        pts = gen_curve_points(g)
+        fit = fit_joint(pts, FitConfig())
+        assert (fit.n_scale, fit.d_scale) == (1e5, 1e4)
+        assert fit.objective == pytest.approx(fit_joint(pts, ID_CFG).objective, rel=1e-9)
+        assert not fit.degenerate
+
+
+class TestJointProjection:
+    """(E, A, B) solved at fixed exponents, the starts of a joint fit."""
+
+    def project(self, node, **truth):
+        """exp of the solved (e, a, b) at the (alpha, beta) node, on a truth's points."""
+        pts = TestFitJoint().joint_points(**truth)
+        data = _FORMS["joint"].data(pts, ID_CFG, "flops")
+        (e, a, alpha, b, beta), = _joint_project(data, [node])
+        assert (alpha, beta) == node
+        return np.exp([e, a, b])
+
+    def test_noise_free_at_true_exponents_recovers_coefficients(self):
+        np.testing.assert_allclose(self.project((0.34, 0.28)), [0.3, 1.0, 2.0], rtol=0, atol=1e-10)
+
+    def test_absent_term_gets_floor(self):
+        E, A, B = self.project((0.34, 0.5), B=0.0, beta=0.5)
+        assert B == pytest.approx(_COEF_FLOOR, rel=1e-12)
+        np.testing.assert_allclose([E, A], [0.3, 1.0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.28), (0.34, 0.0), (0.0, 0.0)])
+    def test_zero_exponent_node_solves_quietly(self, alpha, beta):
+        # A zero exponent makes its column the constant column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coef = self.project((alpha, beta))
+        assert np.all(np.isfinite(coef)) and np.all(coef >= _COEF_FLOOR)
+
+    def test_starts_follow_the_exponent_grid(self):
+        cfg = FitConfig(grid_alpha=(0.2, 0.5), grid_beta=(0.1, 0.3, 0.7), rescale=ID_CFG.rescale)
+        data = _FORMS["joint"].data(TestFitJoint().joint_points(), cfg, "flops")
+        nodes = _FORMS["joint"].grid(cfg)
+        assert nodes == list(itertools.product(cfg.grid_alpha, cfg.grid_beta))
+        assert [(s[2], s[4]) for s in _FORMS["joint"].starts(data, nodes)] == nodes
 
 
 class TestPredict:

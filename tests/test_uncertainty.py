@@ -231,9 +231,13 @@ class TestBatchedMatchesOneAtATime:
             (noisy_points(n=12, seed=4), "power", ID_CFG, 3, False, None),
             (shifted_points(), "shifted", SMALL_CFG, 40, True, None),
             (joint_points(), "joint", SMALL_CFG, 30, True, None),
+            (joint_points(), "joint", ID_CFG, 10, False, None),
             (noisy_points(seed=6), "power", SMALL_CFG, 30, True, UNEQUAL_CLUSTERS),
         ],
-        ids=["power-warm", "power-cold", "shifted-warm", "joint-warm", "clusters-unequal"],
+        ids=[
+            "power-warm", "power-cold", "shifted-warm", "joint-warm", "joint-cold",
+            "clusters-unequal",
+        ],
     )
     def test_param_ci_and_failures_identical(
         self, points, fit_kind, fit_cfg, resamples, warm_start, cluster_ids

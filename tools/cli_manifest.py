@@ -56,7 +56,8 @@ COMMANDS = [
     ["ingest", "--input", "avg.json", "--format", "json", "--filter", "convnext_vit_restricted",
      "--output", "filtered.csv"],
     ["ingest", "--input", "table.csv", "--filter", "none", "--output", "table_echo.csv"],
-    # fit: every form, --freeze-lambda, curve and SVG output, points and run tables
+    # fit: every form, --freeze-lambda, curve and SVG output, points and run tables,
+    # joint at the default rescale
     ["fit", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
      "--output", "fit_power.json", "--emit-curve", "curve_power.csv", "--svg", "curve_power.svg"],
     ["fit", "--form", "shifted", "--x", "flops", "--points", "shifted.csv", "--no-rescale",
@@ -65,6 +66,8 @@ COMMANDS = [
      "--output", "fit_shifted_frozen.json", "--svg", "curve_shifted.svg"],
     ["fit", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
      "--output", "fit_joint.json"],
+    ["fit", "--form", "joint", "--x", "flops", "--points", "joint.csv",
+     "--output", "fit_joint_rescaled.json"],
     ["fit", "--form", "power", "--x", "params", "--input", "runs.csv", "--target", "it",
      "--output", "fit_runs.json"],
     ["fit", "--form", "power", "--x", "flops", "--input", "runs.csv", "--average-seeds",
@@ -83,6 +86,8 @@ COMMANDS = [
      "--resamples", "50", "--warm-start", "--output", "boot_shifted.json"],
     ["bootstrap", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
      "--resamples", "50", "--warm-start", "--output", "boot_joint.json"],
+    ["bootstrap", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
+     "--resamples", "10", "--output", "boot_joint_cold.json"],
     # allocate --verify from a compute-model report and from a run table
     ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
      "--budget", "6e9", "--c-scale", "1", "--verify", "--output", "alloc_cm.json"],
