@@ -1,8 +1,9 @@
 """Compute model C = m (N D)^n and compute-optimal (N*, D*) allocation.
 
-All arithmetic here is unit-agnostic: the joint fit, the compute model,
-and the budget must share one unit system (the CLI works in rescaled
-units and converts back to raw counts at its boundary).
+Compute models, budgets and allocations are in raw units (FLOPs,
+parameters, samples). A joint fit's coefficients are in its own rescaled
+units; the allocation applies the fit's n_scale and d_scale, as
+`predict` does.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import loglog_linreg
-from .scaling import JointFit, Rescale
+from .scaling import JointFit, predict
 
 __all__ = [
     "ComputeModel",
@@ -62,25 +63,11 @@ class AllocationResult:
     method: str  # "closed_form" or "brute_force"
 
 
-def fit_compute_model(runs, rescale: Rescale | None = None) -> ComputeModel:
-    """Log-log regression of flops against n_params * samples_seen.
-
-    `runs` is a RunTable, an iterable of records with n_params,
-    samples_seen, and flops attributes, or an iterable of bare
-    (n_params, samples_seen, flops) triples. With a Rescale, the model is
-    fit in rescaled units (matching the joint misalignment fit); otherwise
-    in the raw units of the records.
-    """
+def fit_compute_model(runs) -> ComputeModel:
+    """Log-log regression of flops against N * D over (N, D, flops) triples."""
     runs = list(runs)
-    if runs and not hasattr(runs[0], "n_params"):
-        nd = np.array([float(n) * float(d) for n, d, _ in runs])
-        c = np.array([float(f) for _, _, f in runs])
-    else:
-        nd = np.array([float(r.n_params) * float(r.samples_seen) for r in runs])
-        c = np.array([r.flops for r in runs])
-    if rescale is not None:
-        nd = nd / (rescale.n_scale * rescale.d_scale)
-        c = c / rescale.c_scale
+    nd = np.array([float(n) * float(d) for n, d, _ in runs])
+    c = np.array([float(f) for _, _, f in runs])
     if nd.size < 2 or np.unique(nd).size < 2:
         raise ValueError("need at least 2 runs with distinct N*D products")
     intercept, slope, r2 = loglog_linreg(nd, c)
@@ -100,27 +87,25 @@ def allocation_coefficients(fit: JointFit) -> AllocationCoefficients:
     return AllocationCoefficients(a_prime=a_prime, b_prime=b_prime, G=G)
 
 
-def _predict_scaled(fit: JointFit, n, d):
-    """Misalignment at fit-space (already rescaled) N and D."""
-    return fit.E + fit.A / np.asarray(n) ** fit.alpha + fit.B / np.asarray(d) ** fit.beta
-
-
 def optimal_allocation(fit: JointFit, cm: ComputeModel, budget_c: float) -> AllocationResult:
     """Closed-form minimizer of predicted misalignment on the budget surface:
 
-    N* = G (C/m)^(a'/n),  D* = G^-1 (C/m)^(b'/n)
+    N* = G (C/m')^(a'/n),  D* = G^-1 (C/m')^(b'/n)
+
+    in the fit's units, where m' = m (n_scale d_scale)^n; N* and D* are
+    returned in raw units.
     """
     if budget_c <= 0:
         raise ValueError("budget_c must be positive")
     coef = allocation_coefficients(fit)
-    base = budget_c / cm.m
-    n_star = coef.G * base ** (coef.a_prime / cm.n)
-    d_star = (1.0 / coef.G) * base ** (coef.b_prime / cm.n)
+    base = budget_c / (cm.m * (fit.n_scale * fit.d_scale) ** cm.n)
+    n_star = fit.n_scale * coef.G * base ** (coef.a_prime / cm.n)
+    d_star = fit.d_scale / coef.G * base ** (coef.b_prime / cm.n)
     return AllocationResult(
         budget_C=budget_c,
         n_star=float(n_star),
         d_star=float(d_star),
-        predicted_L=float(_predict_scaled(fit, n_star, d_star)),
+        predicted_L=predict(fit, n=n_star, d=d_star)[0],
         method="closed_form",
     )
 
@@ -144,7 +129,7 @@ def brute_force_allocation(
     n_grid = closed.n_star * np.logspace(-half, half, grid_points)
     nd = cm.nd_product(budget_c)
     d_grid = nd / n_grid
-    L = _predict_scaled(fit, n_grid, d_grid)
+    L = predict(fit, n=n_grid, d=d_grid)[0]
     k = int(np.argmin(L))  # first minimum: smallest N since n_grid ascends
     return AllocationResult(
         budget_C=budget_c,

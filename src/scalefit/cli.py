@@ -144,14 +144,10 @@ def _float_columns(rows: list, skip) -> list:
     return [[float(v) for c, v in row.items() if c not in skip] for row in rows]
 
 
-def _rescale_from_args(args) -> Rescale:
-    if getattr(args, "no_rescale", False):
-        return Rescale(1.0, 1.0, 1.0)
-    return Rescale(args.c_scale, args.n_scale, args.d_scale)
-
-
 def _fit_config(args) -> FitConfig:
-    return FitConfig(rescale=_rescale_from_args(args))
+    if args.no_rescale:
+        return FitConfig(rescale=Rescale(1.0, 1.0, 1.0))
+    return FitConfig(rescale=Rescale(args.c_scale, args.n_scale, args.d_scale))
 
 
 def _target_misalignment(record, target: str) -> float:
@@ -313,7 +309,6 @@ def cmd_allocate(args) -> int:
     if fit.form != "joint":
         raise ValueError("allocation requires a joint fit report")
 
-    rescale = Rescale(args.c_scale, fit.n_scale, fit.d_scale)
     if args.compute_model:
         cm = _read_report(
             args.compute_model,
@@ -323,34 +318,29 @@ def cmd_allocate(args) -> int:
         )
     else:
         table = ingest(args.input, format=args.format)
-        cm = fit_compute_model(table, rescale=rescale)
+        cm = fit_compute_model((r.n_params, r.samples_seen, r.flops) for r in table)
 
     if args.budget <= 0:
         raise ValueError("--budget must be positive")
-    budget_scaled = args.budget / rescale.c_scale
-    result = optimal_allocation(fit, cm, budget_scaled)
+    result = optimal_allocation(fit, cm, args.budget)
     coef = allocation_coefficients(fit)
     out = {
         "budget_C": args.budget,
-        "n_star": result.n_star * fit.n_scale,
-        "d_star": result.d_star * fit.d_scale,
+        "n_star": result.n_star,
+        "d_star": result.d_star,
         "predicted_L": result.predicted_L,
         "predicted_S": 1.0 - result.predicted_L,
         "method": result.method,
         "coefficients": {"a_prime": coef.a_prime, "b_prime": coef.b_prime, "G": coef.G},
         "compute_model": {"m": cm.m, "n": cm.n, "r2": cm.r2},
-        "rescale": {
-            "c_scale": rescale.c_scale,
-            "n_scale": fit.n_scale,
-            "d_scale": fit.d_scale,
-        },
+        "rescale": {"n_scale": fit.n_scale, "d_scale": fit.d_scale},
     }
     if args.verify:
-        bf = brute_force_allocation(fit, cm, budget_scaled, grid_points=args.grid_points)
+        bf = brute_force_allocation(fit, cm, args.budget, grid_points=args.grid_points)
         cell = SPAN_DECADES / (args.grid_points - 1)  # log10 grid spacing
         out["verify"] = {
-            "n_star": bf.n_star * fit.n_scale,
-            "d_star": bf.d_star * fit.d_scale,
+            "n_star": bf.n_star,
+            "d_star": bf.d_star,
             "predicted_L": bf.predicted_L,
             "log10_n_discrepancy": abs(np.log10(bf.n_star / result.n_star)),
             "grid_cell_log10": cell,
@@ -631,11 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="compute-optimal (N*, D*) for a budget")
     p.add_argument("--fit-report", required=True, help="joint fit report JSON")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--compute-model", help="compute-model report JSON with m, n")
+    source.add_argument("--compute-model", help="compute-model report JSON with m, n in raw units")
     source.add_argument("--input", help="run table to fit the compute model from")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--budget", type=float, required=True, help="compute budget in raw FLOPs")
-    p.add_argument("--c-scale", type=float, default=1e13)
     p.add_argument("--verify", action="store_true", help="run the brute-force oracle")
     p.add_argument("--grid-points", type=int, default=10_000)
     p.add_argument("--output", required=True)

@@ -176,16 +176,15 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Xi, fi, gi, Hi = X[idx], f[idx], g[idx], H[idx]
+        Xi, fi, gi = X[idx], f[idx], g[idx]
 
-        p = -np.einsum("kij,kj->ki", Hi, gi)
+        p = -np.einsum("kij,kj->ki", H[idx], gi)
         slope = np.sum(p * gi, axis=1)
         bad = slope >= 0  # not a descent direction; reset to steepest descent
         if np.any(bad):
             p[bad] = -gi[bad]
             slope[bad] = -np.sum(gi[bad] ** 2, axis=1)
-            Hi[bad] = eye
-            H[idx] = Hi
+            H[idx[bad]] = eye
 
         # Armijo backtracking line search, per row.
         t = np.ones(idx.size)
@@ -209,7 +208,8 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
 
         aj = np.flatnonzero(accepted)
         if aj.size:
-            _, gnew = fg(Xnew[aj], idx[aj], True)
+            rows = idx[aj]
+            _, gnew = fg(Xnew[aj], rows, True)
             gnew = np.asarray(gnew, dtype=float)
             s = Xnew[aj] - Xi[aj]
             y = gnew - gi[aj]
@@ -218,7 +218,7 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
             y_norm = np.sqrt(np.sum(y * y, axis=1))
             upd = sy > _CURVATURE_RTOL * s_norm * y_norm
             if np.any(upd):
-                Hu = Hi[aj][upd]
+                Hu = H[rows[upd]]
                 su, yu = s[upd], y[upd]
                 # A tiny s.y can overflow rho or rho^2 * yHy; such rows keep
                 # their previous H below, without a warning.
@@ -234,13 +234,8 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
                         * np.einsum("ki,kj->kij", su, su)
                     )
                 finite = np.all(np.isfinite(Hu), axis=(1, 2))
-                upd[upd] = finite
-                tmp = Hi[aj]
-                tmp[upd] = Hu[finite]
-                Hi[aj] = tmp
-                H[idx] = Hi
+                H[rows[upd][finite]] = Hu[finite]
 
-            rows = idx[aj]
             X[rows] = Xnew[aj]
             f[rows] = fnew[aj]
             g[rows] = gnew

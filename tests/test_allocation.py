@@ -125,6 +125,31 @@ class TestOptimalAllocation:
             optimal_allocation(fit, cm, budget_c=0.0)
 
 
+class TestFitScales:
+    """A fit made in rescaled units allocates in raw units."""
+
+    def scaled_pair(self):
+        raw = make_fit(A=1.3, alpha=0.34, B=2.1, beta=0.28)
+        # The same curve in units of 1e5 parameters and 1e4 samples.
+        scaled = JointFit(
+            E=raw.E, A=raw.A / 1e5**raw.alpha, alpha=raw.alpha,
+            B=raw.B / 1e4**raw.beta, beta=raw.beta,
+            objective=0.0, init_used=(), degenerate=False, n_scale=1e5, d_scale=1e4,
+        )
+        return raw, scaled
+
+    @pytest.mark.parametrize("allocate", [optimal_allocation, brute_force_allocation])
+    def test_scaled_fit_matches_unit_fit(self, allocate):
+        raw, scaled = self.scaled_pair()
+        cm = ComputeModel(m=6.0, n=1.0, r2=1.0, n_points=5)
+        for c in (1e12, 1e20):
+            want, got = allocate(raw, cm, c), allocate(scaled, cm, c)
+            assert got.n_star == pytest.approx(want.n_star, rel=1e-12)
+            assert got.d_star == pytest.approx(want.d_star, rel=1e-12)
+            assert got.predicted_L == pytest.approx(want.predicted_L, rel=1e-12)
+            assert cm.compute(got.n_star, got.d_star) == pytest.approx(c, rel=1e-12)
+
+
 class TestBruteForce:
     def test_agrees_with_closed_form(self):
         fit = make_fit(A=1.3, alpha=0.34, B=2.1, beta=0.28)

@@ -54,6 +54,25 @@ def points_csv(tmp_path):
     return out
 
 
+@pytest.fixture
+def joint_reports(tmp_path):
+    """Joint fit reports of one noisy 6x6 grid at the default rescale and with --no-rescale."""
+    pts = tmp_path / "joint.csv"
+    assert run(
+        "simulate", "--kind", "curve", "--form", "joint",
+        "--E", "0.3", "--A", "1.0", "--alpha", "0.34", "--B", "2.0", "--beta", "0.28",
+        "--grid-side", "6", "--sigma", "0.01", "--seed", "3", "--output", str(pts),
+    ) == 0
+    reports = {}
+    for name, flags in [("default", ()), ("raw", ("--no-rescale",))]:
+        reports[name] = tmp_path / f"{name}.json"
+        assert run(
+            "fit", "--form", "joint", "--x", "flops", "--points", str(pts), *flags,
+            "--output", str(reports[name]),
+        ) == 0
+    return reports
+
+
 class TestSimulate:
     def test_curve_points_file(self, points_csv):
         with open(points_csv) as fh:
@@ -219,22 +238,9 @@ class TestFit:
         assert payload["target"] == "it"
         assert payload["params"]["alpha"] == pytest.approx(0.2, rel=0.01)
 
-    def test_joint_fit_at_default_rescale_reaches_unscaled_optimum(self, tmp_path):
+    def test_joint_fit_at_default_rescale_reaches_unscaled_optimum(self, joint_reports):
         # At the default rescale (N / 1e5, D / 1e4) the truth's log A is about -3.9.
-        pts = tmp_path / "joint.csv"
-        assert run(
-            "simulate", "--kind", "curve", "--form", "joint",
-            "--E", "0.3", "--A", "1.0", "--alpha", "0.34", "--B", "2.0", "--beta", "0.28",
-            "--grid-side", "6", "--sigma", "0.01", "--seed", "3", "--output", str(pts),
-        ) == 0
-        fits = {}
-        for name, flags in [("default", ()), ("raw", ("--no-rescale",))]:
-            out = tmp_path / f"{name}.json"
-            assert run(
-                "fit", "--form", "joint", "--x", "flops", "--points", str(pts), *flags,
-                "--output", str(out),
-            ) == 0
-            fits[name] = read_json(out)
+        fits = {name: read_json(rep) for name, rep in joint_reports.items()}
         assert fits["default"]["rescale"] == {"n_scale": 1e5, "d_scale": 1e4}
         assert fits["default"]["objective"] == pytest.approx(fits["raw"]["objective"], rel=1e-9)
         assert not fits["default"]["degenerate"]
@@ -266,7 +272,7 @@ class TestAllocate:
         assert run(
             "allocate", "--fit-report", str(joint_report),
             "--compute-model", str(cm),
-            "--budget", "6e9", "--c-scale", "1",
+            "--budget", "6e9",
             "--verify", "--output", str(out),
         ) == 0
         payload = read_json(out)
@@ -274,6 +280,25 @@ class TestAllocate:
         v = payload["verify"]
         assert v["log10_n_discrepancy"] <= v["grid_cell_log10"]
         assert payload["coefficients"]["a_prime"] + payload["coefficients"]["b_prime"] == 1.0
+
+    def test_raw_compute_model_on_rescaled_fit_spends_budget(self, tmp_path, joint_reports):
+        # The compute model and budget are raw; the fit's own scales are
+        # applied inside the allocation, so both fits spend the budget.
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"m": 6, "n": 1, "spec_version": "1.0"}))
+        allocs = {}
+        for name, rep in joint_reports.items():
+            out = tmp_path / f"alloc_{name}.json"
+            assert run(
+                "allocate", "--fit-report", str(rep), "--compute-model", str(cm),
+                "--budget", "1e20", "--output", str(out),
+            ) == 0
+            allocs[name] = read_json(out)
+            spent = 6.0 * allocs[name]["n_star"] * allocs[name]["d_star"]
+            assert spent == pytest.approx(1e20, rel=1e-9)
+        assert allocs["default"]["rescale"] == {"n_scale": 1e5, "d_scale": 1e4}
+        assert allocs["default"]["compute_model"]["m"] == 6.0
+        assert allocs["default"]["n_star"] == pytest.approx(allocs["raw"]["n_star"], rel=1e-6)
 
     def test_allocate_requires_compute_model_source(self, tmp_path, joint_report):
         with pytest.raises(SystemExit) as exc:

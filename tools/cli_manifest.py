@@ -88,11 +88,14 @@ COMMANDS = [
      "--resamples", "50", "--warm-start", "--output", "boot_joint.json"],
     ["bootstrap", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
      "--resamples", "10", "--output", "boot_joint_cold.json"],
-    # allocate --verify from a compute-model report and from a run table
+    # allocate --verify from a compute-model report and from a run table, and
+    # from a fit made at the default rescale
     ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
-     "--budget", "6e9", "--c-scale", "1", "--verify", "--output", "alloc_cm.json"],
+     "--budget", "6e9", "--verify", "--output", "alloc_cm.json"],
     ["allocate", "--fit-report", "fit_joint.json", "--input", "runs.csv",
      "--budget", "1e20", "--verify", "--grid-points", "2001", "--output", "alloc_runs.json"],
+    ["allocate", "--fit-report", "fit_joint_rescaled.json", "--compute-model", "cm.json",
+     "--budget", "6e9", "--verify", "--output", "alloc_cm_rescaled.json"],
     # score: neural merged into a run table, ridge, rank-deficient, behavioral
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--region", "V4", "--ceiling", "0.9", "--output", "score_v4.json",
