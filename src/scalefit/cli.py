@@ -332,7 +332,8 @@ def cmd_allocate(args) -> int:
         "predicted_S": 1.0 - result.predicted_L,
         "method": result.method,
         "coefficients": {"a_prime": coef.a_prime, "b_prime": coef.b_prime, "G": coef.G},
-        "compute_model": {"m": cm.m, "n": cm.n, "r2": cm.r2},
+        # A compute-model file without r2 reads as NaN, which strict JSON has no token for.
+        "compute_model": {"m": cm.m, "n": cm.n, "r2": cm.r2 if np.isfinite(cm.r2) else None},
         "rescale": {"n_scale": fit.n_scale, "d_scale": fit.d_scale},
     }
     if args.verify:

@@ -392,7 +392,60 @@ class TestBehaviorScore:
             )
 
 
+def logistic_grad(X, labels, W, l2=1e-4):
+    """Gradient of fit_logistic's objective at W: mean cross-entropy plus
+    0.5·l2·‖W‖², the intercept row (last) not penalized."""
+    _, y = np.unique(labels, return_inverse=True)
+    n = X.shape[0]
+    Xa = np.hstack([X, np.ones((n, 1))])
+    Z = Xa @ W
+    P = np.exp(Z - Z.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    P[np.arange(n), y] -= 1.0
+    pen = W.copy()
+    pen[-1] = 0.0
+    return Xa.T @ P / n + l2 * pen
+
+
+def logistic_case(name):
+    """(features, labels) of a named fit_logistic case."""
+    X, y, *_ = gen_behavior_task(
+        seed=int(name[-1]) if name.startswith("seed") else 0,
+        separation=8.0 if name == "separation8" else 2.0,
+        n_classes=2 if name == "two_classes" else 4,
+    )
+    if name == "duplicated_column":
+        X = np.hstack([X, X[:, :1]])
+    elif name == "features_x1e3":
+        X = X * 1e3
+    elif name == "features_plus100":
+        X = X + 100.0
+    return X, y
+
+
 class TestFitLogistic:
+    @pytest.mark.parametrize("name", [
+        "seed0", "seed1", "seed2", "separation8", "duplicated_column",
+        "two_classes", "features_x1e3", "features_plus100",
+    ])
+    def test_gradient_below_default_tolerance(self, name):
+        X, y = logistic_case(name)
+        _, W = fit_logistic(X, y)
+        assert np.max(np.abs(logistic_grad(X, y, W))) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["seed0", "seed1", "seed2", "separation8"])
+    def test_intercepts_sum_to_zero(self, name):
+        # Adding one constant to every class's intercept leaves the objective
+        # unchanged; the min-norm Newton steps keep the intercepts centered.
+        _, W = fit_logistic(*logistic_case(name))
+        assert abs(W[-1].sum()) <= 1e-12
+
+    def test_zero_tolerance_ends_without_raising(self):
+        X, y = logistic_case("seed1")
+        _, W = fit_logistic(X, y, grad_tol=0.0)
+        assert np.all(np.isfinite(W))
+        assert np.max(np.abs(logistic_grad(X, y, W))) <= 1e-10
+
     def test_separable_blobs_high_accuracy(self):
         Xtr, ytr, Xte, yte, _ = gen_behavior_task(separation=4.0, seed=1)
         classes, W = fit_logistic(Xtr, ytr)

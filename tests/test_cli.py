@@ -300,6 +300,21 @@ class TestAllocate:
         assert allocs["default"]["compute_model"]["m"] == 6.0
         assert allocs["default"]["n_star"] == pytest.approx(allocs["raw"]["n_star"], rel=1e-6)
 
+    def test_compute_model_without_r2_writes_strict_json(self, tmp_path, joint_report):
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"m": 6, "n": 1, "spec_version": "1.0"}))
+        out = tmp_path / "alloc.json"
+        assert run(
+            "allocate", "--fit-report", str(joint_report), "--compute-model", str(cm),
+            "--budget", "1e20", "--output", str(out),
+        ) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["compute_model"]["r2"] is None
+
     def test_allocate_requires_compute_model_source(self, tmp_path, joint_report):
         with pytest.raises(SystemExit) as exc:
             run(

@@ -96,7 +96,7 @@ COMMANDS = [
      "--budget", "1e20", "--verify", "--grid-points", "2001", "--output", "alloc_runs.json"],
     ["allocate", "--fit-report", "fit_joint_rescaled.json", "--compute-model", "cm.json",
      "--budget", "6e9", "--verify", "--output", "alloc_cm_rescaled.json"],
-    # score: neural merged into a run table, ridge, rank-deficient, behavioral
+    # score: neural merged into a run table, ridge, rank-deficient, behavioral at two sizes
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--region", "V4", "--ceiling", "0.9", "--output", "score_v4.json",
      "--append-to", "runs.csv", "--run-id", "sim3"],
@@ -106,6 +106,8 @@ COMMANDS = [
      "--region", "V1", "--ceiling", "1", "--output", "score_wide.json"],
     ["score", "--kind", "behavior", "--train", "train.csv", "--test", "test.csv",
      "--pattern", "pattern.csv", "--ceiling", "0.8", "--output", "score_behavior.json"],
+    ["score", "--kind", "behavior", "--train", "train_full.csv", "--test", "test_full.csv",
+     "--pattern", "pattern_full.csv", "--ceiling", "1", "--output", "score_behavior_full.json"],
     ["report", "--fit", "IT=fit_power.json", "--fit", "V4=fit_runs.json",
      "--fit", "V1=fit_runs_flops.json", "--output", "gains.csv"],
     # error paths
@@ -163,14 +165,20 @@ def write_inputs():
     ]:
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-    Xtr, ytr, Xte, yte, bayes = gen_behavior_task(n_train=400, n_test=80, seed=0)
-    for name, X, y in [("train.csv", Xtr, ytr), ("test.csv", Xte, yte)]:
-        with open(name, "w", newline="", encoding="utf-8") as fh:
+    write_behavior_task("", gen_behavior_task(n_train=400, n_test=80, seed=0))
+    write_behavior_task("_full", gen_behavior_task(seed=0))  # the benchmark's 2,160/240 size
+
+
+def write_behavior_task(suffix, task):
+    """train, test and pattern CSVs of one gen_behavior_task draw."""
+    Xtr, ytr, Xte, yte, bayes = task
+    for name, X, y in [("train", Xtr, ytr), ("test", Xte, yte)]:
+        with open(f"{name}{suffix}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["stim_id", "label"] + [f"f{j}" for j in range(X.shape[1])])
             for i, (row, label) in enumerate(zip(X, y)):
                 writer.writerow([f"s{i}", label] + [repr(float(v)) for v in row])
-    with open("pattern.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(f"pattern{suffix}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "class", "probability"])
         k = 0
