@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from scalefit.records import (
     CSV_COLUMNS,
+    OPTIONAL_COLUMNS,
     IngestError,
     RunRecord,
     RunTable,
@@ -89,6 +93,58 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 1"):
             ingest(write_csv(tmp_path, [HEADER, bad, ok]))
 
+    def test_short_row_message(self, tmp_path):
+        short = ROW.replace("r1", "r2").rsplit(",", 3)[0]
+        with pytest.raises(IngestError) as exc:
+            ingest(write_csv(tmp_path, [HEADER, ROW, short]))
+        assert exc.value.errors == ["row 2: missing column(s) score_v4, score_it, score_behavior"]
+
+    def test_blank_line_skipped_and_not_counted(self, tmp_path):
+        bad = ROW.replace("r1", "r2").replace("11689512", "x")
+        with pytest.raises(IngestError) as exc:
+            ingest(write_csv(tmp_path, [HEADER, "", ROW, "", bad]))
+        assert exc.value.errors == ["row 2: invalid literal for int() with base 10: 'x'"]
+
+    def test_unknown_extra_column_ignored(self, tmp_path):
+        plain = ingest(write_csv(tmp_path, [HEADER, ROW]))
+        extra = ingest(write_csv(tmp_path, [HEADER + ",notes", ROW + ",a note"], name="extra.csv"))
+        assert extra.rows == plain.rows
+
+    def test_every_bad_row_reported_in_order(self, tmp_path):
+        lines = [
+            HEADER,
+            ROW,
+            ROW.replace("r1", "r2").replace(",full,0,", ",full,zero,"),
+            ROW.replace("r1", "r3").replace(",0.35", ",1.2"),
+            ROW,
+        ]
+        with pytest.raises(IngestError) as exc:
+            ingest(write_csv(tmp_path, lines))
+        assert exc.value.errors == [
+            "row 2: invalid literal for int() with base 10: 'zero'",
+            "row 3: score 1.2 outside acceptable range [-0.05, 1.05]",
+            "row 4: duplicate run_id 'r1'",
+        ]
+
+    def test_each_clamped_score_warns_once(self, tmp_path):
+        lines = [
+            HEADER,
+            ROW.replace("0.31", "1.01").replace(",0.35", ",1.03"),
+            ROW.replace("r1", "r2").replace("0.29", "-0.02"),
+            ROW.replace("r1", "r3").replace(",0.35", ",1.03"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = ingest(write_csv(tmp_path, lines))
+        assert [str(w.message) for w in caught] == [
+            "score 1.01 clamped into [0, 1]",
+            "score 1.03 clamped into [0, 1]",
+            "score -0.02 clamped into [0, 1]",
+            "score 1.03 clamped into [0, 1]",
+        ]
+        assert [r.scores["behavior"] for r in table.rows] == [1.0, 0.35, 1.0]
+        assert table.rows[1].scores["V2"] == 0.0
+
     def test_json_format(self, tmp_path):
         keys = CSV_COLUMNS
         row = dict(zip(keys, ROW.split(",")))
@@ -96,6 +152,35 @@ class TestIngest:
         path.write_text(json.dumps([row]))
         table = ingest(path, format="json")
         assert table.rows[0].run_id == "r1"
+
+    def test_json_numbers_parse_as_their_str(self, tmp_path):
+        row = dict(zip(CSV_COLUMNS, ROW.split(",")))
+        numeric = {**row, "seed": 0, "n_params": 11689512, "flops": 1.2e11, "score_v1": 0.31,
+                   "val_accuracy": None}
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps([numeric]))
+        rec = ingest(path, format="json").rows[0]
+        assert (rec.seed, rec.n_params, rec.flops, rec.scores["V1"]) == (0, 11689512, 1.2e11, 0.31)
+        assert rec.val_accuracy is None
+        path.write_text(json.dumps([numeric, {**numeric, "run_id": "r2", "n_params": 1000.0}]))
+        with pytest.raises(IngestError) as exc:
+            ingest(path, format="json")
+        assert exc.value.errors == ["row 2: invalid literal for int() with base 10: '1000.0'"]
+
+    def test_json_non_object_rows_reported(self, tmp_path):
+        row = dict(zip(CSV_COLUMNS, ROW.split(",")))
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps([1, row, {**row, "seed": "x"}, [row]]))
+        with pytest.raises(IngestError) as exc:
+            ingest(path, format="json")
+        assert exc.value.errors == [
+            "row 1: not a JSON object",
+            "row 3: invalid literal for int() with base 10: 'x'",
+            "row 4: not a JSON object",
+        ]
+        path.write_text("[1, 2]")
+        with pytest.raises(IngestError, match="row 1: not a JSON object; row 2: not a JSON object"):
+            ingest(path, format="json")
 
     def test_average_seeds(self, tmp_path):
         rows = [
@@ -142,6 +227,51 @@ class TestRoundTrip:
         export(table, out, format=fmt)
         table2 = ingest(out, format=fmt)
         assert table2.rows == table.rows
+
+
+def row_of(rec):
+    """`rec` as the run-table row export writes: every value a str, an absent one None."""
+    row = {
+        "run_id": rec.run_id, "family": rec.family, "arch": rec.arch, "dataset": rec.dataset,
+        "samples_per_class": str(rec.samples_per_class), "seed": str(rec.seed),
+        "n_params": str(rec.n_params), "samples_seen": str(rec.samples_seen),
+        "flops": str(rec.flops),
+        "val_accuracy": None if rec.val_accuracy is None else str(rec.val_accuracy),
+    }
+    row.update({f"score_{region.lower()}": str(s) for region, s in rec.scores.items()})
+    return row
+
+
+class TestExportBytes:
+    RECORDS = (
+        make_record("r\u00e9sn\u00e9t-\u4e2d", val_accuracy=0.7),
+        make_record('say "hi"', family="Res,Net", spc=300, seed=2, flops=1.5e-7),
+        make_record("back\\slash", family="a\\b", spc=10, val_accuracy=None),
+    )
+
+    @pytest.mark.parametrize("rows", [RECORDS, ()], ids=["edge-values", "empty"])
+    def test_json_matches_json_dump(self, tmp_path, rows):
+        out = tmp_path / "out.json"
+        export(RunTable(rows=rows), out, format="json")
+        want = io.StringIO()
+        json.dump([row_of(r) for r in rows], want, indent=2, sort_keys=True)
+        assert out.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [RECORDS, ()], ids=["edge-values", "empty"])
+    def test_csv_matches_dict_writer(self, tmp_path, rows):
+        out = tmp_path / "out.csv"
+        export(RunTable(rows=rows), out, format="csv")
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=CSV_COLUMNS + OPTIONAL_COLUMNS)
+        writer.writeheader()
+        writer.writerows(row_of(r) for r in rows)
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_edge_values_round_trip(self, tmp_path):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            export(RunTable(rows=self.RECORDS), out, format=fmt)
+            assert ingest(out, format=fmt).rows == self.RECORDS
 
 
 class TestRecordInvariants:

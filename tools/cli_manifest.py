@@ -56,6 +56,11 @@ COMMANDS = [
     ["ingest", "--input", "avg.json", "--format", "json", "--filter", "convnext_vit_restricted",
      "--output", "filtered.csv"],
     ["ingest", "--input", "table.csv", "--filter", "none", "--output", "table_echo.csv"],
+    # ingest: quoting, non-ASCII, a blank line, an extra column, a clamped score;
+    # CSV -> JSON -> CSV, and a JSON table of numbers and nulls
+    ["ingest", "--input", "edge.csv", "--output", "edge.json", "--output-format", "json"],
+    ["ingest", "--input", "edge.json", "--format", "json", "--output", "edge_back.csv"],
+    ["ingest", "--input", "numeric.json", "--format", "json", "--output", "numeric.csv"],
     # fit: every form, --freeze-lambda, curve and SVG output, points and run tables,
     # joint at the default rescale
     ["fit", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
@@ -136,6 +141,11 @@ COMMANDS = [
      "--input", "runs.csv", "--budget", "1e9", "--output", "err_alloc_both.json"],
     ["report", "--fit", "IT=list.json", "--output", "err_gains.csv"],
     ["ingest", "--input", "short.csv", "--output", "err_short.csv"],
+    ["ingest", "--input", "bad_rows.csv", "--output", "err_bad_rows.csv"],
+    ["ingest", "--input", "dup.csv", "--output", "err_dup.csv"],
+    ["ingest", "--input", "no_flops.csv", "--output", "err_no_flops.csv"],
+    ["ingest", "--input", "empty.csv", "--output", "err_empty.csv"],
+    ["ingest", "--input", "not_objects.json", "--format", "json", "--output", "err_not_objects.csv"],
 ]
 
 TABLE_HEADER = (
@@ -151,6 +161,30 @@ TABLE_ROWS = [
     "d0,ConvNeXt,cnx_t,eco,300,0,3000,39000,7.0e11,0.3,0.3,0.3,0.3,0.3,",
 ]
 
+EDGE_ROWS = [  # CSV lines under TABLE_HEADER plus a "notes" column
+    'e0,"Res,Net","r18 ""wide""",eco,10,0,1000,20000,1.2e11,0.1,0.2,0.3,0.4,1.02,0.5,"a, b"',
+    "",
+    "\u00e9\u4e2d1,ViT,vit_s,eco,full,1,2000,40000,4.8e11,0.1,0.2,0.3,0.4,0.5,,",
+    'e2,"back\\slash",x,eco,300,0,3000,30000,5.4e11,0,1,0.5,0.25,0.125,1,note',
+]
+NUMERIC_ROWS = [
+    {"run_id": "n0", "family": "ViT", "arch": "vit_s", "dataset": "eco", "samples_per_class": 10,
+     "seed": 0, "n_params": 1000, "samples_seen": 20000, "flops": 1.2e11, "score_v1": 0.1,
+     "score_v2": 0.2, "score_v4": 0.3, "score_it": 0.4, "score_behavior": 0.5,
+     "val_accuracy": None},
+    {"run_id": "n1", "family": "ViT", "arch": "vit_s", "dataset": "eco", "samples_per_class": "full",
+     "seed": 1, "n_params": 1000, "samples_seen": 20000, "flops": 120000000000, "score_v1": 1,
+     "score_v2": 0, "score_v4": 0.3, "score_it": 0.4, "score_behavior": 0.5,
+     "val_accuracy": 0.75, "notes": None},
+]
+BAD_ROWS = [  # a bad int, an out-of-range score, a missing cell, a bad float
+    TABLE_ROWS[0].replace(",0,1000,", ",zero,1000,"),
+    TABLE_ROWS[1].replace(",0.52,", ",1.2,"),
+    TABLE_ROWS[2].replace(",vit_b,", ",,"),
+    TABLE_ROWS[3].replace(",2.4e11,", ",many,"),
+    TABLE_ROWS[4],
+]
+
 
 def write_inputs():
     """Inputs no CLI command writes: run tables, compute models, behavior CSVs, a bad report."""
@@ -158,10 +192,21 @@ def write_inputs():
         fh.write("\n".join([TABLE_HEADER, *TABLE_ROWS]) + "\n")
     with open("short.csv", "w", encoding="utf-8") as fh:  # a row missing its last four fields
         fh.write("\n".join([TABLE_HEADER, TABLE_ROWS[0].rsplit(",", 4)[0]]) + "\n")
+    for name, lines in [
+        ("edge.csv", [TABLE_HEADER + ",notes", *EDGE_ROWS]),
+        ("bad_rows.csv", [TABLE_HEADER, *BAD_ROWS]),
+        ("dup.csv", [TABLE_HEADER, *TABLE_ROWS, TABLE_ROWS[2]]),
+        ("no_flops.csv", [TABLE_HEADER.replace(",flops", ""), *TABLE_ROWS]),
+        ("empty.csv", []),
+    ]:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
     for name, payload in [
         ("cm.json", {"m": 6.0, "n": 1.0, "r2": 1.0, "spec_version": "1.0"}),
         ("cm_no_n.json", {"m": 6.0, "spec_version": "1.0"}),
         ("list.json", [1]),
+        ("numeric.json", NUMERIC_ROWS),
+        ("not_objects.json", [1, NUMERIC_ROWS[0], "row"]),
     ]:
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
