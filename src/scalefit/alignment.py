@@ -253,7 +253,10 @@ def fit_logistic(
     unchanged, so H is singular along that direction and the intercepts
     stay centered across classes. Armijo backtracking follows. The loop
     ends when max|∇| ≤ grad_tol, when the line search finds no acceptable
-    step, or after max_iters steps; it never raises on a stall.
+    step, after an accepted step that leaves the objective unchanged and
+    does not lower max|∇|, or after max_iters steps; it never raises on a
+    stall. At that rounding floor Armijo's test passes only by rounding,
+    and further steps would spend the budget without measurable progress.
 
     The steps are taken on features centered on their mean, with the
     intercept absorbing the shift, so a large common offset does not make
@@ -293,12 +296,15 @@ def fit_logistic(
 
     W = np.zeros((f + 1, k))
     val, P = loss(W)
+    unchanged, last_gmax = False, np.inf
     for _ in range(max_iters):
         G = Xa.T @ (P - onehot) / n + l2 * penalized * W
         G_raw = G.copy()  # gradient with respect to the uncentered weights
         G_raw[:-1] += np.outer(mu, G[-1])
-        if np.max(np.abs(G_raw)) <= grad_tol:
+        gmax = np.max(np.abs(G_raw))
+        if gmax <= grad_tol or (unchanged and gmax >= last_gmax):
             break
+        last_gmax = gmax
         # n·H = Σ_r Xa_r Xa_rᵀ ⊗ (diag(p_r) − p_r p_rᵀ). Off the class diagonal
         # it is −MᵀM, with M[r, (i, a)] = Xa[r, i]·P[r, a]. The diagonal
         # blocks Xaᵀ diag(p_a·Σ_{b≠a} p_b) Xa are formed directly: their
@@ -323,6 +329,7 @@ def fit_logistic(
             t *= cfg.backtrack
         else:
             break  # no acceptable step: stalled at rounding level
+        unchanged = fc == val
         W, val, P = cand, fc, Pc
     W[-1] -= mu @ W[:-1]
     return classes, W

@@ -32,7 +32,7 @@ from .records import (
     SCORE_COLUMNS,
     RunRecord,
     _parse_score,
-    _record_to_row,
+    _record_columns,
     export,
     filter_for_fit,
     ingest,
@@ -80,11 +80,18 @@ def _write_json(path: str, payload: dict) -> None:
     _write_sidecar_log(path)
 
 
+# Thread-count settings of the BLAS numpy may load; a float output's last bits can depend on them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_sidecar_log(path: str) -> None:
     with open(path + ".log", "w", encoding="utf-8") as fh:
         fh.write(f"written_at: {datetime.datetime.now().isoformat()}\n")
         fh.write(f"argv: {' '.join(sys.argv)}\n")
         fh.write(f"scalefit_version: {__version__}\n")
+        fh.write(f"numpy_version: {np.__version__}\n")
+        for var in _BLAS_THREAD_VARS:
+            fh.write(f"{var}: {os.environ.get(var, 'unset')}\n")
 
 
 def _read_report(path: str, build):
@@ -535,7 +542,7 @@ def _runs_from_points(args, pts: np.ndarray) -> list:
     """Run-table rows, in CSV_COLUMNS order, with every region score set to S = 1 - L."""
     if pts.shape[1] != 2:
         raise ValueError("--as-runs supports power/shifted points only")
-    rows = []
+    recs = []
     for i, (x, l) in enumerate(pts):
         s = 1.0 - l
         if not 0.0 <= s <= 1.0:
@@ -543,14 +550,13 @@ def _runs_from_points(args, pts: np.ndarray) -> list:
         n_params = round(x) if args.x_kind == "params" else 1_000_000
         samples = round(x) if args.x_kind == "samples" else 10_000_000
         flops = x if args.x_kind == "flops" else 6.0 * n_params * samples
-        rec = RunRecord(
+        recs.append(RunRecord(
             run_id=f"sim{i}", family="Synthetic", arch="synthetic", dataset="synthetic",
             samples_per_class="full", seed=args.seed, n_params=max(n_params, 1),
             samples_seen=max(samples, 1), flops=flops, scores=dict.fromkeys(REGIONS, s),
-        )
-        row = _record_to_row(rec)
-        rows.append([row[c] for c in CSV_COLUMNS])
-    return rows
+        ))
+    columns = _record_columns(recs)
+    return list(zip(*(columns[c] for c in CSV_COLUMNS)))
 
 
 def cmd_report(args) -> int:

@@ -446,6 +446,15 @@ class TestFitLogistic:
         assert np.all(np.isfinite(W))
         assert np.max(np.abs(logistic_grad(X, y, W))) <= 1e-10
 
+    def test_zero_tolerance_stops_at_rounding_floor(self):
+        # With grad_tol=0 the loop ends on the first accepted step that leaves
+        # the objective unchanged, well before 30 steps, so a larger budget
+        # changes nothing.
+        X, y = logistic_case("seed0")
+        _, W100 = fit_logistic(X, y, grad_tol=0.0, max_iters=100)
+        _, W30 = fit_logistic(X, y, grad_tol=0.0, max_iters=30)
+        assert np.array_equal(W100, W30)
+
     def test_separable_blobs_high_accuracy(self):
         Xtr, ytr, Xte, yte, _ = gen_behavior_task(separation=4.0, seed=1)
         classes, W = fit_logistic(Xtr, ytr)

@@ -140,6 +140,21 @@ class TestFit:
         assert payload["spec_version"] == "1.0"
         assert (tmp_path / "fit1.json.log").exists()
 
+    def test_sidecar_log_records_numpy_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "pts.csv"
+        assert run(
+            "simulate", "--kind", "curve", "--form", "power",
+            "--E", "0.3", "--A", "0.5", "--alpha", "0.2", "--output", str(out),
+        ) == 0
+        lines = (tmp_path / "pts.csv.log").read_text().splitlines()
+        assert f"numpy_version: {np.__version__}" in lines
+        assert lines[-3:] == [
+            "OPENBLAS_NUM_THREADS: 3", "OMP_NUM_THREADS: 1", "MKL_NUM_THREADS: unset",
+        ]
+
     def test_shifted_fit_reruns_identically(self, tmp_path):
         pts = tmp_path / "shifted.csv"
         assert run(

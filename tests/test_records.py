@@ -18,6 +18,7 @@ from scalefit.records import (
     filter_for_fit,
     ingest,
 )
+from scalefit.records import _COLUMNS, _records_from_columns, _records_from_rows
 
 HEADER = ",".join(CSV_COLUMNS)
 ROW = "r1,ResNet,resnet18,imagenet,full,0,11689512,128155776,9.2e15,0.31,0.29,0.40,0.38,0.35"
@@ -227,6 +228,54 @@ class TestRoundTrip:
         export(table, out, format=fmt)
         table2 = ingest(out, format=fmt)
         assert table2.rows == table.rows
+
+
+# (column, cell text, whether the column check accepts the table): the check
+# must accept only tables the row scan accepts without a warning, and then
+# give the same records.
+COLUMN_CASES = [
+    ("flops", "nan", False),  # accepted by the row scan, left to it
+    ("flops", "inf", True),
+    ("flops", "1e-320", True),
+    ("flops", "-0.0", False),
+    ("flops", "0", False),
+    ("n_params", "0", False),
+    ("n_params", "1_000", True),
+    ("samples_seen", "-1", False),
+    ("samples_per_class", "0", False),
+    ("samples_per_class", " 7", True),
+    ("samples_per_class", "half", False),
+    ("seed", "-3", True),
+    ("score_v1", "nan", False),
+    ("score_v1", "-0.0", True),
+    ("score_it", "1.0000001", False),
+    ("score_behavior", "inf", False),
+    ("score_behavior", "", False),
+    ("val_accuracy", "nan", False),
+    ("val_accuracy", "1.5", False),
+    ("val_accuracy", "", True),
+    ("run_id", "r0", False),
+]
+
+
+class TestColumnCheck:
+    @pytest.mark.parametrize("column, text, accepted", COLUMN_CASES)
+    def test_agrees_with_row_scan(self, column, text, accepted):
+        rows = [dict(zip(_COLUMNS, (ROW + ",0.5").replace("r1", f"r{i}").split(","))) for i in range(3)]
+        rows[1][column] = text
+        columns = [tuple(row[c] for row in rows) for c in _COLUMNS]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                want = _records_from_rows(zip(*columns))
+            except IngestError:
+                want = None
+        got = _records_from_columns(columns)
+        if accepted:
+            assert want is not None and not caught
+            assert got == want
+        else:
+            assert got is None
 
 
 def row_of(rec):
