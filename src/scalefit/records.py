@@ -207,7 +207,7 @@ def _read_json_columns(path):
         rows = json.load(fh)
     if not isinstance(rows, list):
         raise IngestError(["JSON run table must be a list of row objects"])
-    not_objects = [i for i, row in enumerate(rows, start=1) if not isinstance(row, dict)]
+    not_objects = {i for i, row in enumerate(rows, start=1) if not isinstance(row, dict)}
     if not_objects:
         rows = [row if isinstance(row, dict) else {} for row in rows]
     columns = [_convert(list(map(dict.get, rows, repeat(c))), str, "") for c in _COLUMNS]
