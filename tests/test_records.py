@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scalefit.records import (
     CSV_COLUMNS,
@@ -18,16 +20,69 @@ from scalefit.records import (
     filter_for_fit,
     ingest,
 )
-from scalefit.records import _COLUMNS, _records_from_columns, _records_from_rows
+from scalefit.records import _COLUMNS, _FIELD_COLUMNS, SCORE_COLUMNS
 
 HEADER = ",".join(CSV_COLUMNS)
 ROW = "r1,ResNet,resnet18,imagenet,full,0,11689512,128155776,9.2e15,0.31,0.29,0.40,0.38,0.35"
+
+
+CELLS = dict(zip(CSV_COLUMNS, ROW.split(",")))
+
+
+def line(**cells):
+    """ROW with some cells replaced, as a CSV line under HEADER."""
+    return ",".join({**CELLS, **cells}[c] for c in CSV_COLUMNS)
 
 
 def write_csv(tmp_path, lines, name="runs.csv"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def reference_ingest(rows):
+    """(errors, warnings, records) of a run table, checked row by row with the
+    column parsers and RunRecord; a table with an error has no records. A row
+    is a dict of cell texts, where an absent or empty cell is missing, or any
+    other value for a non-object."""
+    errors, warned, records, seen = [], [], [], set()
+    for i, row in enumerate(rows, start=1):
+        try:
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            missing = [c for c in CSV_COLUMNS if not row.get(c)]
+            if missing:
+                raise ValueError(f"missing column(s) {', '.join(missing)}")
+            fields = {c: parse(row[c]) if row.get(c) else None for c, parse, _ in _FIELD_COLUMNS}
+            scores = {}
+            for region, column in SCORE_COLUMNS.items():
+                score = float(row[column])
+                if not -0.05 <= score <= 1.05:
+                    raise ValueError(f"score {score} outside acceptable range [-0.05, 1.05]")
+                if not 0.0 <= score <= 1.0:
+                    warned.append(f"score {score} clamped into [0, 1]")
+                    score = min(max(score, 0.0), 1.0)
+                scores[region] = score
+            rec = RunRecord(scores=scores, **fields)
+            if rec.run_id in seen:
+                raise ValueError(f"duplicate run_id {rec.run_id!r}")
+        except ValueError as exc:
+            errors.append(f"row {i}: {exc}")
+            continue
+        seen.add(rec.run_id)
+        records.append(rec)
+    return errors, warned, [] if errors else records
+
+
+def ingest_outcome(path, format="csv"):
+    """(errors, warnings, records) of ingest: the IngestError's messages, or []."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records, errors = list(ingest(path, format=format).rows), []
+        except IngestError as exc:
+            records, errors = [], exc.errors
+    return errors, [str(w.message) for w in caught], records
 
 
 def make_record(run_id="r", family="ResNet", spc="full", seed=0, scores=None, **kw):
@@ -230,52 +285,123 @@ class TestRoundTrip:
         assert table2.rows == table.rows
 
 
-# (column, cell text, whether the column check accepts the table): the check
-# must accept only tables the row scan accepts without a warning, and then
-# give the same records.
+# (column, cell text, first error, clamp warning): the text replaces the cell of
+# row 2 (run r1) of a three-row table; a None error means the table is accepted.
+# The test id ends in whether the table is accepted without a warning.
 COLUMN_CASES = [
-    ("flops", "nan", False),  # accepted by the row scan, left to it
-    ("flops", "inf", True),
-    ("flops", "1e-320", True),
-    ("flops", "-0.0", False),
-    ("flops", "0", False),
-    ("n_params", "0", False),
-    ("n_params", "1_000", True),
-    ("samples_seen", "-1", False),
-    ("samples_per_class", "0", False),
-    ("samples_per_class", " 7", True),
-    ("samples_per_class", "half", False),
-    ("seed", "-3", True),
-    ("score_v1", "nan", False),
-    ("score_v1", "-0.0", True),
-    ("score_it", "1.0000001", False),
-    ("score_behavior", "inf", False),
-    ("score_behavior", "", False),
-    ("val_accuracy", "nan", False),
-    ("val_accuracy", "1.5", False),
-    ("val_accuracy", "", True),
-    ("run_id", "r0", False),
+    ("flops", "nan", None, None),
+    ("flops", "inf", None, None),
+    ("flops", "1e-320", None, None),
+    ("flops", "-0.0", "run r1: flops must be positive", None),
+    ("flops", "0", "run r1: flops must be positive", None),
+    ("n_params", "0", "run r1: n_params must be >= 1", None),
+    ("n_params", "1_000", None, None),
+    ("samples_seen", "-1", "run r1: samples_seen must be >= 1", None),
+    ("samples_per_class", "0",
+     "run r1: samples_per_class must be a positive integer or 'full', got 0", None),
+    ("samples_per_class", " 7", None, None),
+    ("samples_per_class", "half", "invalid literal for int() with base 10: 'half'", None),
+    ("seed", "-3", None, None),
+    ("score_v1", "nan", "score nan outside acceptable range [-0.05, 1.05]", None),
+    ("score_v1", "-0.0", None, None),
+    ("score_it", "1.0000001", None, "score 1.0000001 clamped into [0, 1]"),
+    ("score_behavior", "inf", "score inf outside acceptable range [-0.05, 1.05]", None),
+    ("score_behavior", "", "missing column(s) score_behavior", None),
+    ("val_accuracy", "nan", "run r1: val_accuracy outside [0, 1]", None),
+    ("val_accuracy", "1.5", "run r1: val_accuracy outside [0, 1]", None),
+    ("val_accuracy", "", None, None),
+    ("run_id", "r0", "duplicate run_id 'r0'", None),
 ]
 
 
 class TestColumnCheck:
-    @pytest.mark.parametrize("column, text, accepted", COLUMN_CASES)
-    def test_agrees_with_row_scan(self, column, text, accepted):
-        rows = [dict(zip(_COLUMNS, (ROW + ",0.5").replace("r1", f"r{i}").split(","))) for i in range(3)]
+    """ingest's column-wise checks give the row-by-row reference's results."""
+
+    @pytest.mark.parametrize(
+        "column, text, error, warning",
+        COLUMN_CASES,
+        ids=[f"{c}-{t}-{e is None and w is None}" for c, t, e, w in COLUMN_CASES],
+    )
+    def test_agrees_with_row_scan(self, tmp_path, column, text, error, warning):
+        rows = [{**CELLS, "run_id": f"r{i}", "val_accuracy": "0.5"} for i in range(3)]
         rows[1][column] = text
-        columns = [tuple(row[c] for row in rows) for c in _COLUMNS]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                want = _records_from_rows(zip(*columns))
-            except IngestError:
-                want = None
-        got = _records_from_columns(columns)
-        if accepted:
-            assert want is not None and not caught
-            assert got == want
+        path = write_csv(tmp_path, [",".join(_COLUMNS)] + [",".join(r[c] for c in _COLUMNS) for r in rows])
+        got = ingest_outcome(path)
+        want = reference_ingest(rows)
+        assert got[:2] == want[:2] and list(map(repr, got[2])) == list(map(repr, want[2]))
+        assert got[0] == ([f"row 2: {error}"] if error else [])
+        assert got[1] == ([warning] if warning else [])
+
+    def test_first_record_fault_wins(self, tmp_path):
+        lines = [
+            HEADER + ",val_accuracy",
+            line(n_params="0", flops="0") + ",",
+            line(run_id="r2", samples_seen="0", samples_per_class="0") + ",",
+            line(run_id="r3", samples_per_class="0") + ",2",
+        ]
+        errors, warned, _ = ingest_outcome(write_csv(tmp_path, lines))
+        assert errors == [
+            "row 1: run r1: n_params must be >= 1",
+            "row 2: run r2: samples_seen must be >= 1",
+            "row 3: run r3: samples_per_class must be a positive integer or 'full', got 0",
+        ]
+        assert warned == []
+
+    def test_clamps_before_a_rows_first_fault_warn(self, tmp_path):
+        lines = [
+            HEADER,
+            line(),
+            line(run_id="r2", score_v1="1.02", score_v4="x"),
+            line(run_id="r3", score_v2="-0.01", flops="0"),
+            line(score_it="1.04"),
+            line(run_id="r5", seed="x", score_v1="1.03"),
+            line(run_id="r6", score_v1="1.2", score_behavior="1.01"),
+            line(run_id="r7", score_behavior="1.01"),
+        ]
+        errors, warned, _ = ingest_outcome(write_csv(tmp_path, lines))
+        assert errors == [
+            "row 2: could not convert string to float: 'x'",
+            "row 3: run r3: flops must be positive",
+            "row 4: duplicate run_id 'r1'",
+            "row 5: invalid literal for int() with base 10: 'x'",
+            "row 6: score 1.2 outside acceptable range [-0.05, 1.05]",
+        ]
+        assert warned == [
+            "score 1.02 clamped into [0, 1]",
+            "score -0.01 clamped into [0, 1]",
+            "score 1.04 clamped into [0, 1]",
+            "score 1.01 clamped into [0, 1]",
+        ]
+
+    def test_faulted_row_holds_no_run_id(self, tmp_path):
+        lines = [HEADER, line(flops="0"), line(), line(score_v1="0.5"), line(run_id="r2")]
+        errors, _, _ = ingest_outcome(write_csv(tmp_path, lines))
+        assert errors == ["row 1: run r1: flops must be positive", "row 3: duplicate run_id 'r1'"]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+    def test_random_bad_tables_agree_with_row_scan(self, tmp_path, data, fmt):
+        # None is an absent cell: empty in CSV, null in JSON.
+        cell = st.sampled_from([None, "", "0", "1", "-1", "x", "full", "nan", "inf", "-0.0",
+                                "1e15", "0.5", "1.02", "-0.03", "1.2", "r1", "r2"])
+        good = {**CELLS, "val_accuracy": "0.5"}
+        row = st.one_of(
+            st.dictionaries(st.sampled_from(_COLUMNS), cell, max_size=3).map(lambda d: {**good, **d}),
+            st.fixed_dictionaries(dict.fromkeys(_COLUMNS, cell)),
+            *([st.sampled_from([1, "row", [good]])] if fmt == "json" else []),
+        )
+        rows = data.draw(st.lists(row, max_size=8))
+        path = tmp_path / f"runs.{fmt}"
+        if fmt == "csv":
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([_COLUMNS, *([r[c] for c in _COLUMNS] for r in rows)])
         else:
-            assert got is None
+            path.write_text(json.dumps(rows))
+        got = ingest_outcome(path, format=fmt)
+        want = reference_ingest(rows)
+        assert got[:2] == want[:2]
+        assert list(map(repr, got[2])) == list(map(repr, want[2]))
 
 
 def row_of(rec):
@@ -337,6 +463,12 @@ class TestRecordInvariants:
     def test_table_rejects_duplicates(self):
         with pytest.raises(ValueError):
             RunTable(rows=(make_record("a"), make_record("a")))
+
+    def test_table_lists_each_duplicate_once_sorted(self):
+        ids = ["c", "a", "b", "c", "a", "c", "d"]
+        with pytest.raises(ValueError) as exc:
+            RunTable(rows=tuple(make_record(i) for i in ids))
+        assert str(exc.value) == "duplicate run_id values: ['a', 'c']"
 
 
 class TestAggregateScore:

@@ -146,6 +146,10 @@ COMMANDS = [
     ["ingest", "--input", "no_flops.csv", "--output", "err_no_flops.csv"],
     ["ingest", "--input", "empty.csv", "--output", "err_empty.csv"],
     ["ingest", "--input", "not_objects.json", "--format", "json", "--output", "err_not_objects.csv"],
+    ["ingest", "--input", "multi_fault.csv", "--output", "err_multi_fault.csv"],
+    ["ingest", "--input", "repeated.csv", "--output", "err_repeated.csv"],
+    ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
+     "--budget", "nan", "--output", "err_alloc_nan.json"],
 ]
 
 TABLE_HEADER = (
@@ -184,6 +188,14 @@ BAD_ROWS = [  # a bad int, an out-of-range score, a missing cell, a bad float
     TABLE_ROWS[3].replace(",2.4e11,", ",many,"),
     TABLE_ROWS[4],
 ]
+MULTI_FAULT_ROWS = [
+    TABLE_ROWS[0].replace(",1000,20000,1.2e11,", ",0,20000,0,"),  # two record faults
+    TABLE_ROWS[1].replace(",20000,1.2e11,0.12,", ",-5,1.2e11,1.02,"),  # a clamp, then a fault
+    TABLE_ROWS[2].replace("b0,", "a0,"),  # the run_id of a faulted row
+    TABLE_ROWS[3].replace("c0,", "a0,"),  # a duplicate of the row before
+    TABLE_ROWS[4].replace(",2.4e11,", ",nan,"),  # NaN flops
+    TABLE_ROWS[5][:-4] + "-0.01,",  # a clamp in a good row
+]
 
 
 def write_inputs():
@@ -195,6 +207,8 @@ def write_inputs():
     for name, lines in [
         ("edge.csv", [TABLE_HEADER + ",notes", *EDGE_ROWS]),
         ("bad_rows.csv", [TABLE_HEADER, *BAD_ROWS]),
+        ("multi_fault.csv", [TABLE_HEADER, *MULTI_FAULT_ROWS]),
+        ("repeated.csv", [TABLE_HEADER + ",score_v1", *(row + ",0.99" for row in TABLE_ROWS)]),
         ("dup.csv", [TABLE_HEADER, *TABLE_ROWS, TABLE_ROWS[2]]),
         ("no_flops.csv", [TABLE_HEADER.replace(",flops", ""), *TABLE_ROWS]),
         ("empty.csv", []),
