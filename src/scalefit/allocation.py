@@ -95,8 +95,8 @@ def optimal_allocation(fit: JointFit, cm: ComputeModel, budget_c: float) -> Allo
     in the fit's units, where m' = m (n_scale d_scale)^n; N* and D* are
     returned in raw units.
     """
-    if budget_c <= 0:
-        raise ValueError("budget_c must be positive")
+    if not 0 < budget_c < np.inf:
+        raise ValueError("budget_c must be positive and finite")
     coef = allocation_coefficients(fit)
     base = budget_c / (cm.m * (fit.n_scale * fit.d_scale) ** cm.n)
     n_star = fit.n_scale * coef.G * base ** (coef.a_prime / cm.n)

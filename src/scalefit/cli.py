@@ -11,6 +11,7 @@ import datetime
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .records import (
     RESOURCE_FIELDS,
     SCORE_COLUMNS,
     RunRecord,
-    _parse_score,
+    _clamp_score,
     _record_columns,
     export,
     filter_for_fit,
@@ -312,6 +313,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    if not 0 < args.budget < np.inf:
+        raise ValueError("--budget must be positive and finite")
     fit = _read_report(args.fit_report, _fit_from_payload)
     if fit.form != "joint":
         raise ValueError("allocation requires a joint fit report")
@@ -327,8 +330,6 @@ def cmd_allocate(args) -> int:
         table = ingest(args.input, format=args.format)
         cm = fit_compute_model((r.n_params, r.samples_seen, r.flops) for r in table)
 
-    if args.budget <= 0:
-        raise ValueError("--budget must be positive")
     result = optimal_allocation(fit, cm, args.budget)
     coef = allocation_coefficients(fit)
     out = {
@@ -406,7 +407,8 @@ def _append_score(runs_path: str, run_id: str, region: str, ceiled: float) -> No
     A score the run table would reject on ingest is a ValueError raised before
     the file is read.
     """
-    _parse_score(ceiled)
+    if _clamp_score(ceiled) != ceiled:
+        warnings.warn(f"score {ceiled} clamped into [0, 1]", stacklevel=2)
     col = SCORE_COLUMNS[region]
     rows = _read_csv(runs_path, ("run_id", col))
     hits = [row for row in rows if row["run_id"] == run_id]

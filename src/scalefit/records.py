@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -51,6 +52,19 @@ FORMAT_VERSION = "1"
 RESOURCE_FIELDS = {"flops": "flops", "params": "n_params", "samples": "samples_seen"}
 
 
+# RunRecord's bounds, in the order they are checked: (field, test, message). Each
+# test passes an interval of numbers, which NaN is never in, and perhaps values of
+# another type; the message is formatted with the value.
+_BOUNDS = (
+    ("n_params", lambda v: v >= 1, "n_params must be >= 1"),
+    ("samples_seen", lambda v: v >= 1, "samples_seen must be >= 1"),
+    ("flops", lambda v: v > 0, "flops must be positive"),
+    ("samples_per_class", lambda v: v == "full" or isinstance(v, int) and v >= 1,
+     "samples_per_class must be a positive integer or 'full', got {!r}"),
+    ("val_accuracy", lambda v: v is None or 0.0 <= v <= 1.0, "val_accuracy outside [0, 1]"),
+)
+
+
 class IngestError(ValueError):
     """Raised when a file cannot be ingested; carries row-indexed messages."""
 
@@ -76,28 +90,16 @@ class RunRecord:
     val_accuracy: float | None = None
 
     def __post_init__(self):
-        if self.n_params < 1:
-            raise ValueError(f"run {self.run_id}: n_params must be >= 1")
-        if self.samples_seen < 1:
-            raise ValueError(f"run {self.run_id}: samples_seen must be >= 1")
-        if self.flops <= 0:
-            raise ValueError(f"run {self.run_id}: flops must be positive")
-        if self.samples_per_class != "full" and (
-            not isinstance(self.samples_per_class, int) or self.samples_per_class < 1
-        ):
-            raise ValueError(
-                f"run {self.run_id}: samples_per_class must be a positive "
-                f"integer or 'full', got {self.samples_per_class!r}"
-            )
-        for region, s in self.scores.items():
-            if region not in REGIONS:
-                raise ValueError(f"run {self.run_id}: unknown region {region!r}")
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(
-                    f"run {self.run_id}: score {region}={s} outside [0, 1]"
-                )
-        if self.val_accuracy is not None and not 0.0 <= self.val_accuracy <= 1.0:
-            raise ValueError(f"run {self.run_id}: val_accuracy outside [0, 1]")
+        for name, test, message in _BOUNDS:
+            if name == "val_accuracy":  # the scores are checked before it
+                for region, s in self.scores.items():
+                    if region not in REGIONS:
+                        raise ValueError(f"run {self.run_id}: unknown region {region!r}")
+                    if not 0.0 <= s <= 1.0:
+                        raise ValueError(f"run {self.run_id}: score {region}={s} outside [0, 1]")
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"run {self.run_id}: {message.format(value)}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class RunTable:
     def __post_init__(self):
         ids = [r.run_id for r in self.rows]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate run_id values: {dupes}")
 
     def __len__(self):
@@ -125,14 +127,11 @@ class AggregateScore:
     regions_used: tuple
 
 
-def _parse_score(value: float) -> float:
-    """Validate a ceiling-normalized score; clamp a narrow out-of-range band."""
+def _clamp_score(value: float) -> float:
+    """A ceiling-normalized score clamped into [0, 1]; a ValueError outside [-0.05, 1.05]."""
     if not -0.05 <= value <= 1.05:
         raise ValueError(f"score {value} outside acceptable range [-0.05, 1.05]")
-    if value < 0.0 or value > 1.0:
-        warnings.warn(f"score {value} clamped into [0, 1]", stacklevel=3)
-        return min(max(value, 0.0), 1.0)
-    return float(value)
+    return min(max(value, 0.0), 1.0)
 
 
 def _trusted_record(fields) -> RunRecord:
@@ -153,9 +152,12 @@ def _convert(values, fn, absent) -> list:
 def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
     """Parse a run table from CSV or JSON, enforcing the schema and invariants.
 
-    The table is checked column by column. Only a table that fails that check,
-    or holds a score to clamp, is scanned row by row, which words each row's
-    error and warns once per clamped score.
+    The table is checked column by column, in the order of a row's checks: a
+    JSON object, every mandatory cell, each field's parse, each score's parse
+    and range, RunRecord's bounds, then a run_id that no earlier good row
+    holds. The IngestError lists each bad row's first fault. A score in
+    [-0.05, 1.05] but outside [0, 1] is clamped into it, with a warning unless
+    its row has an earlier fault.
     """
     not_objects = ()
     if format == "csv":
@@ -164,10 +166,7 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
         columns, not_objects = _read_json_columns(path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    records = None if not_objects else _records_from_columns(columns)
-    if records is None:
-        records = _records_from_rows(zip(*columns), not_objects)
-
+    records = _records(columns, not_objects)
     table = RunTable(rows=tuple(records), provenance=f"{path}#v{FORMAT_VERSION}")
     if average_seeds:
         table = _average_seeds(table)
@@ -177,8 +176,8 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
 def _read_csv_columns(path) -> list:
     """The table's cells as columns in _COLUMNS order: a missing cell or column reads as None.
 
-    As with csv.DictReader, a blank line is skipped, cells past the header's
-    width are ignored and a column named twice reads from its last position.
+    As with csv.DictReader, a blank line is skipped and cells past the header's
+    width are ignored. A run-table column named twice is an IngestError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -188,6 +187,9 @@ def _read_csv_columns(path) -> list:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise IngestError([f"header missing mandatory column(s): {', '.join(missing)}"])
+        repeated = [c for c in _COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise IngestError([f"header names column(s) more than once: {', '.join(repeated)}"])
         rows = list(filter(None, reader))
     width = len(header)
     if set(map(len, rows)) - {width}:
@@ -200,106 +202,105 @@ def _read_csv_columns(path) -> list:
 
 def _read_json_columns(path):
     """(columns, not_objects): the cells as _read_csv_columns gives them, each value
-    through str and a null or absent one as "", and the row numbers that hold no
-    JSON object; those rows read as empty.
+    through str and a null or absent one as "", and the indices of the rows that
+    hold no JSON object; those rows read as empty.
     """
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
     if not isinstance(rows, list):
         raise IngestError(["JSON run table must be a list of row objects"])
-    not_objects = {i for i, row in enumerate(rows, start=1) if not isinstance(row, dict)}
+    not_objects = {i for i, row in enumerate(rows) if not isinstance(row, dict)}
     if not_objects:
         rows = [row if isinstance(row, dict) else {} for row in rows]
     columns = [_convert(list(map(dict.get, rows, repeat(c))), str, "") for c in _COLUMNS]
     return columns, not_objects
 
 
-def _records_from_columns(columns) -> list | None:
-    """The records of a table whose every row passes the row scan without a warning, else None.
+def _records(columns, not_objects) -> list:
+    """The records of a table's columns, in _COLUMNS order, checked as ingest describes.
 
-    Each column is parsed in one pass and checked as a whole against the rules
-    the row scan applies: mandatory cells non-empty, counts >= 1, flops > 0,
-    samples_per_class "full" or >= 1, scores and val_accuracy in [0, 1] and
-    run_ids unique.
+    `faults` maps a row's index to its first fault. Each check runs over whole
+    columns, in order, and words a fault only for a row that has none yet.
     """
     cells = dict(zip(_COLUMNS, columns))
-    if not cells["run_id"]:
-        return []
-    if not all(map(all, (cells[c] for c in CSV_COLUMNS))):
-        return None
-    va = cells["val_accuracy"]
-    try:
-        values = {col: list(map(parse, cells[col])) for col, parse, optional in _FIELD_COLUMNS
-                  if not optional}
-        values["val_accuracy"] = list(map(float, va)) if all(va) else [
-            float(t) if t else None for t in va
-        ]
-        scores = [list(map(float, cells[col])) for col in SCORE_COLUMNS.values()]
-    except ValueError:
-        return None
-    accuracies = [v for v in values["val_accuracy"] if v is not None]
-    va_lo, va_hi = _span(accuracies) if accuracies else (0.0, 0.0)
-    if not (
-        _span(values["n_params"])[0] >= 1
-        and _span(values["samples_seen"])[0] >= 1
-        and _span(values["flops"])[0] > 0.0
-        and all(v == "full" or v >= 1 for v in set(values["samples_per_class"]))
-        and all(0.0 <= lo and hi <= 1.0 for lo, hi in map(_span, scores))
-        and 0.0 <= va_lo and va_hi <= 1.0
-        and len(set(values["run_id"])) == len(values["run_id"])
-    ):
-        return None
+    faults = dict.fromkeys(not_objects, "not a JSON object")
+    mandatory = [cells[c] for c in CSV_COLUMNS]
+    if not all(map(all, mandatory)):
+        for i, row in enumerate(zip(*mandatory)):
+            if i not in faults and not all(row):
+                missing = [c for c, text in zip(CSV_COLUMNS, row) if not text]
+                faults[i] = f"missing column(s) {', '.join(missing)}"
+    values = {c: _parse_column(cells[c], parse, faults) for c, parse, _ in _FIELD_COLUMNS}
+    scores, clamped = [], []
+    for region, column in enumerate(SCORE_COLUMNS.values()):
+        score = _parse_column(cells[column], float, faults)
+        if not _passes(score, lambda v: 0.0 <= v <= 1.0):
+            for i, s in enumerate(score):
+                if i not in faults and not 0.0 <= s <= 1.0:
+                    try:
+                        score[i] = _clamp_score(s)
+                    except ValueError as exc:
+                        faults[i] = str(exc)
+                    else:
+                        clamped.append((i, region, s))
+        scores.append(score)
+    run_ids = values["run_id"]
+    for name, test, message in _BOUNDS:
+        if not _passes(values[name], test):
+            for i, value in enumerate(values[name]):
+                if i not in faults and not test(value):
+                    faults[i] = f"run {run_ids[i]}: {message.format(value)}"
+    if len(set(run_ids)) != len(run_ids):
+        seen = set()
+        for i, run_id in enumerate(run_ids):
+            if i not in faults:
+                if run_id in seen:
+                    faults[i] = f"duplicate run_id {run_id!r}"
+                seen.add(run_id)
+    for _, _, s in sorted(clamped):  # in row, then region, order
+        warnings.warn(f"score {s} clamped into [0, 1]", stacklevel=3)
+    if faults:
+        raise IngestError(f"row {i + 1}: {faults[i]}" for i in sorted(faults))
     by_region = map(dict, map(zip, repeat(REGIONS), zip(*scores)))
     fields = zip(*(values[c] for c, _, _ in _FIELD_COLUMNS), by_region)
     return [_trusted_record(zip(_RECORD_FIELDS, row)) for row in fields]
 
 
-def _span(column) -> tuple:
-    """(min, max) of a non-empty column, or (nan, nan), which fails every bound, if it holds a NaN."""
-    total = sum(column)
-    if total != total:  # a NaN, or inf and -inf: min and max would not see it
-        return (float("nan"),) * 2
-    return min(column), max(column)
-
-
-def _records_from_rows(rows, not_objects=()) -> list:
-    """Parse and validate row by row, raising an IngestError with every bad row's message.
-
-    `rows` hold their cells in _COLUMNS order; the row numbers in `not_objects`
-    held no JSON object.
-    """
-    records, errors, seen_ids = [], [], set()
-    for i, row in enumerate(rows, start=1):
-        if i in not_objects:
-            errors.append(f"row {i}: not a JSON object")
-            continue
-        row = dict(zip(_COLUMNS, row))
-        missing = [c for c in CSV_COLUMNS if not row[c]]
-        if missing:
-            errors.append(f"row {i}: missing column(s) {', '.join(missing)}")
-            continue
+def _parse_column(cells, parse, faults) -> list:
+    """`parse` of each cell, None for an empty one. A cell `parse` rejects reads None,
+    and its message becomes the row's fault; a row that has a fault reads None."""
+    if all(cells):
         try:
-            rec = _row_to_record(row)
-        except ValueError as exc:
-            errors.append(f"row {i}: {exc}")
-            continue
-        if rec.run_id in seen_ids:
-            errors.append(f"row {i}: duplicate run_id {rec.run_id!r}")
-            continue
-        seen_ids.add(rec.run_id)
-        records.append(rec)
-    if errors:
-        raise IngestError(errors)
-    return records
+            return list(map(parse, cells))
+        except ValueError:
+            pass
+    values = []
+    for i, text in enumerate(cells):
+        value = None
+        if text and i not in faults:
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                faults[i] = str(exc)
+        values.append(value)
+    return values
 
 
-def _row_to_record(row: dict) -> RunRecord:
-    fields = {}
-    for col, parse, _ in _FIELD_COLUMNS:
-        text = row[col]
-        fields[col] = parse(text) if text else None
-    scores = {region: _parse_score(float(row[col])) for region, col in SCORE_COLUMNS.items()}
-    return RunRecord(scores=scores, **fields)
+def _passes(column, test) -> bool:
+    """Whether every value of a column passes `test`, which passes an interval of numbers:
+    from the extremes at C speed when the column holds only numbers and no NaN.
+
+    A value `test` cannot compare, such as a faulted row's None, fails.
+    """
+    try:
+        total = sum(column)
+    except TypeError:  # values of more than one type
+        try:
+            return all(map(test, set(column)))
+        except TypeError:
+            return False
+    # A NaN, or inf and -inf, makes the total NaN; min and max would not see it.
+    return total == total and (not column or test(min(column)) and test(max(column)))
 
 
 def _average_seeds(table: RunTable) -> RunTable:

@@ -124,6 +124,13 @@ class TestOptimalAllocation:
         with pytest.raises(ValueError):
             optimal_allocation(fit, cm, budget_c=0.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_rejects_non_finite_budget(self, budget):
+        fit = make_fit()
+        cm = ComputeModel(m=6.0, n=1.0, r2=1.0, n_points=5)
+        with pytest.raises(ValueError, match="budget_c must be positive and finite"):
+            optimal_allocation(fit, cm, budget_c=budget)
+
 
 class TestFitScales:
     """A fit made in rescaled units allocates in raw units."""

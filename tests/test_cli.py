@@ -359,6 +359,17 @@ class TestAllocate:
         ) == 1
         assert "cm.json: report has no field 'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "0"])
+    def test_allocate_rejects_bad_budget_before_reading_reports(self, tmp_path, capsys, budget):
+        out = tmp_path / "a.json"
+        assert run(
+            "allocate", "--fit-report", str(tmp_path / "missing.json"),
+            "--compute-model", str(tmp_path / "missing_cm.json"),
+            "--budget", budget, "--output", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: --budget must be positive and finite\n"
+        assert not out.exists()
+
     def test_allocate_rejects_power_fit(self, tmp_path, points_csv):
         rep = tmp_path / "p.json"
         assert run(

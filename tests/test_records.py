@@ -161,6 +161,12 @@ class TestIngest:
             ingest(write_csv(tmp_path, [HEADER, "", ROW, "", bad]))
         assert exc.value.errors == ["row 2: invalid literal for int() with base 10: 'x'"]
 
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path, [HEADER + ",score_v1,notes,notes", ROW + ",0.99,a,b"])
+        with pytest.raises(IngestError) as exc:
+            ingest(path)
+        assert exc.value.errors == ["header names column(s) more than once: score_v1"]
+
     def test_unknown_extra_column_ignored(self, tmp_path):
         plain = ingest(write_csv(tmp_path, [HEADER, ROW]))
         extra = ingest(write_csv(tmp_path, [HEADER + ",notes", ROW + ",a note"], name="extra.csv"))
@@ -289,7 +295,7 @@ class TestRoundTrip:
 # row 2 (run r1) of a three-row table; a None error means the table is accepted.
 # The test id ends in whether the table is accepted without a warning.
 COLUMN_CASES = [
-    ("flops", "nan", None, None),
+    ("flops", "nan", "run r1: flops must be positive", None),
     ("flops", "inf", None, None),
     ("flops", "1e-320", None, None),
     ("flops", "-0.0", "run r1: flops must be positive", None),
@@ -455,6 +461,24 @@ class TestRecordInvariants:
             make_record(n_params=0)
         with pytest.raises(ValueError):
             make_record(flops=0.0)
+
+    def test_rejects_nan_flops(self):
+        with pytest.raises(ValueError, match="^run r: flops must be positive$"):
+            make_record(flops=float("nan"))
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"n_params": 0, "flops": 0.0}, "n_params must be >= 1"),
+        ({"samples_seen": 0, "val_accuracy": 2.0}, "samples_seen must be >= 1"),
+        ({"flops": -1.0, "spc": 0}, "flops must be positive"),
+        ({"spc": 2.0}, "samples_per_class must be a positive integer or 'full', got 2.0"),
+        ({"scores": {"V1": 1.5}, "val_accuracy": 2.0}, "score V1=1.5 outside [0, 1]"),
+        ({"scores": {"V9": 0.5}}, "unknown region 'V9'"),
+        ({"val_accuracy": float("nan")}, "val_accuracy outside [0, 1]"),
+    ])
+    def test_first_fault_message(self, kw, message):
+        with pytest.raises(ValueError) as exc:
+            make_record(**kw)
+        assert str(exc.value) == f"run r: {message}"
 
     def test_rejects_bad_spc(self):
         with pytest.raises(ValueError):
