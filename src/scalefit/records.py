@@ -5,6 +5,7 @@ import csv
 import json
 import warnings
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -166,8 +167,7 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
         columns, not_objects = _read_json_columns(path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    records = _records(columns, not_objects)
-    table = RunTable(rows=tuple(records), provenance=f"{path}#v{FORMAT_VERSION}")
+    table = RunTable(tuple(_records(columns, not_objects)), f"{path}#v{FORMAT_VERSION}")
     if average_seeds:
         table = _average_seeds(table)
     return table
@@ -234,22 +234,19 @@ def _records(columns, not_objects) -> list:
     scores, clamped = [], []
     for region, column in enumerate(SCORE_COLUMNS.values()):
         score = _parse_column(cells[column], float, faults)
-        if not _passes(score, lambda v: 0.0 <= v <= 1.0):
-            for i, s in enumerate(score):
-                if i not in faults and not 0.0 <= s <= 1.0:
-                    try:
-                        score[i] = _clamp_score(s)
-                    except ValueError as exc:
-                        faults[i] = str(exc)
-                    else:
-                        clamped.append((i, region, s))
+        for i in _failing(score, lambda v: 0.0 <= v <= 1.0, faults):
+            s = score[i]
+            try:
+                score[i] = _clamp_score(s)
+            except ValueError as exc:
+                faults[i] = str(exc)
+            else:
+                clamped.append((i, region, s))
         scores.append(score)
     run_ids = values["run_id"]
     for name, test, message in _BOUNDS:
-        if not _passes(values[name], test):
-            for i, value in enumerate(values[name]):
-                if i not in faults and not test(value):
-                    faults[i] = f"run {run_ids[i]}: {message.format(value)}"
+        for i in _failing(values[name], test, faults):
+            faults[i] = f"run {run_ids[i]}: {message.format(values[name][i])}"
     if len(set(run_ids)) != len(run_ids):
         seen = set()
         for i, run_id in enumerate(run_ids):
@@ -286,21 +283,19 @@ def _parse_column(cells, parse, faults) -> list:
     return values
 
 
-def _passes(column, test) -> bool:
-    """Whether every value of a column passes `test`, which passes an interval of numbers:
-    from the extremes at C speed when the column holds only numbers and no NaN.
-
-    A value `test` cannot compare, such as a faulted row's None, fails.
-    """
+def _failing(column, test, faults) -> list:
+    """The rows with no fault whose value fails `test`, which passes an interval of numbers
+    and perhaps values of other types. A column of numbers is judged by its extremes, at C
+    speed, unless its total is NaN: it holds a NaN, or inf and -inf, that they can miss."""
     try:
         total = sum(column)
-    except TypeError:  # values of more than one type
-        try:
-            return all(map(test, set(column)))
-        except TypeError:
-            return False
-    # A NaN, or inf and -inf, makes the total NaN; min and max would not see it.
-    return total == total and (not column or test(min(column)) and test(max(column)))
+        if total == total and (not column or test(min(column)) and test(max(column))):
+            return []
+    except TypeError:  # strings or None among the values: test each distinct value
+        with suppress(TypeError):
+            if all(map(test, set(column))):
+                return []
+    return [i for i, value in enumerate(column) if i not in faults and not test(value)]
 
 
 def _average_seeds(table: RunTable) -> RunTable:
