@@ -24,8 +24,6 @@ from scalefit.records import _COLUMNS, _FIELD_COLUMNS, SCORE_COLUMNS
 
 HEADER = ",".join(CSV_COLUMNS)
 ROW = "r1,ResNet,resnet18,imagenet,full,0,11689512,128155776,9.2e15,0.31,0.29,0.40,0.38,0.35"
-
-
 CELLS = dict(zip(CSV_COLUMNS, ROW.split(",")))
 
 
@@ -331,7 +329,8 @@ class TestColumnCheck:
     def test_agrees_with_row_scan(self, tmp_path, column, text, error, warning):
         rows = [{**CELLS, "run_id": f"r{i}", "val_accuracy": "0.5"} for i in range(3)]
         rows[1][column] = text
-        path = write_csv(tmp_path, [",".join(_COLUMNS)] + [",".join(r[c] for c in _COLUMNS) for r in rows])
+        lines = [",".join(r[c] for c in _COLUMNS) for r in [dict(zip(_COLUMNS, _COLUMNS)), *rows]]
+        path = write_csv(tmp_path, lines)
         got = ingest_outcome(path)
         want = reference_ingest(rows)
         assert got[:2] == want[:2] and list(map(repr, got[2])) == list(map(repr, want[2]))
@@ -393,7 +392,8 @@ class TestColumnCheck:
                                 "1e15", "0.5", "1.02", "-0.03", "1.2", "r1", "r2"])
         good = {**CELLS, "val_accuracy": "0.5"}
         row = st.one_of(
-            st.dictionaries(st.sampled_from(_COLUMNS), cell, max_size=3).map(lambda d: {**good, **d}),
+            st.builds(lambda d: {**good, **d},
+                      st.dictionaries(st.sampled_from(_COLUMNS), cell, max_size=3)),
             st.fixed_dictionaries(dict.fromkeys(_COLUMNS, cell)),
             *([st.sampled_from([1, "row", [good]])] if fmt == "json" else []),
         )
