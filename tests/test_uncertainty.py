@@ -233,10 +233,14 @@ class TestBatchedMatchesOneAtATime:
             (joint_points(), "joint", SMALL_CFG, 30, True, None),
             (joint_points(), "joint", ID_CFG, 10, False, None),
             (noisy_points(seed=6), "power", SMALL_CFG, 30, True, UNEQUAL_CLUSTERS),
+            # one run of 300 rows, evaluated in blocks of fewer rows
+            (noisy_points(n=60, seed=9), "power", SMALL_CFG, 300, True, None),
+            # 150 starts per resample: runs of several resamples each
+            (noisy_points(n=30, seed=8), "power", ID_CFG, 12, False, None),
         ],
         ids=[
             "power-warm", "power-cold", "shifted-warm", "joint-warm", "joint-cold",
-            "clusters-unequal",
+            "clusters-unequal", "power-warm-blocks", "power-cold-runs",
         ],
     )
     def test_param_ci_and_failures_identical(

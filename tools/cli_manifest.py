@@ -87,6 +87,9 @@ COMMANDS = [
      "--resamples", "20", "--seed", "5", "--curve-points", "10", "--output", "boot_cold.json"],
     ["bootstrap", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
      "--resamples", "200", "--warm-start", "--output", "boot_warm.json", "--svg", "boot.svg"],
+    # a warm run of 1,000 resamples, evaluated in several blocks of rows
+    ["bootstrap", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
+     "--resamples", "1000", "--warm-start", "--output", "boot_warm_1000.json"],
     ["bootstrap", "--form", "shifted", "--x", "flops", "--points", "shifted.csv", "--no-rescale",
      "--resamples", "50", "--warm-start", "--output", "boot_shifted.json"],
     ["bootstrap", "--form", "joint", "--x", "flops", "--points", "joint.csv", "--no-rescale",
@@ -150,6 +153,9 @@ COMMANDS = [
     ["ingest", "--input", "repeated.csv", "--output", "err_repeated.csv"],
     ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
      "--budget", "nan", "--output", "err_alloc_nan.json"],
+    ["ingest", "--input", "inf_flops.csv", "--output", "err_inf_flops.csv"],
+    ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
+     "--budget", "-1e9", "--output", "err_alloc_negative.json"],
 ]
 
 TABLE_HEADER = (
@@ -208,6 +214,7 @@ def write_inputs():
         ("edge.csv", [TABLE_HEADER + ",notes", *EDGE_ROWS]),
         ("bad_rows.csv", [TABLE_HEADER, *BAD_ROWS]),
         ("multi_fault.csv", [TABLE_HEADER, *MULTI_FAULT_ROWS]),
+        ("inf_flops.csv", [TABLE_HEADER, *(r.replace(",3.9e12,", ",inf,") for r in TABLE_ROWS)]),
         ("repeated.csv", [TABLE_HEADER + ",score_v1", *(row + ",0.99" for row in TABLE_ROWS)]),
         ("dup.csv", [TABLE_HEADER, *TABLE_ROWS, TABLE_ROWS[2]]),
         ("no_flops.csv", [TABLE_HEADER.replace(",flops", ""), *TABLE_ROWS]),
