@@ -306,18 +306,38 @@ def _shared_objective(fg, data, delta: float, **kw):
     return objective
 
 
+# Upper bound on rows x points in one kernel call of a stacked objective,
+# which bounds the kernel's (rows, n) temporaries however many rows a
+# batched run holds.
+_CHUNK_ELEMS = 8192
+
+
 def _stacked_objective(fg, data, starts: int, delta: float):
     """Row-aware objective fg(P, rows, need_grad) over stacked datasets.
 
     `data` holds arrays of shape (R, n), one row per dataset; batch row r
-    belongs to dataset r // starts.
+    belongs to dataset r // starts. The rows are evaluated in blocks of at
+    most _CHUNK_ELEMS // n, whose results are concatenated; a row's value
+    and gradient do not depend on the block it falls in.
     """
     hp = HuberParams(delta)
+    block = max(1, _CHUNK_ELEMS // data[0].shape[1])
+
+    def kernel(P, owner, need_grad):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fg(P, *(a[owner] for a in data), hp, need_grad)
 
     def objective(P, rows, need_grad):
         owner = rows // starts
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fg(P, *(a[owner] for a in data), hp, need_grad)
+        if len(rows) <= block:
+            return kernel(P, owner, need_grad)
+        parts = [
+            kernel(P[k : k + block], owner[k : k + block], need_grad)
+            for k in range(0, len(rows), block)
+        ]
+        if not need_grad:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     return objective
 

@@ -2,11 +2,12 @@
 
 Rows are resampled with replacement; each resample index gets its own
 random stream derived from the base seed, so reruns produce bit-identical
-results. All resample indices are drawn first; the resamples are then
-fitted together, many to one batched BFGS run, in chunks of whole
-resamples. Each resample's rows run exactly the arithmetic a fit of that
-resample alone would, so the draws and intervals are the same as fitting
-the resamples one at a time.
+results. All resample indices are drawn first; the resamples of each
+length are then fitted together in one batched BFGS run, or in several
+where resamples x starts would pass a row cap; the run's objective
+evaluates its rows in blocks of bounded size. Each resample's rows run
+exactly the arithmetic a fit of that resample alone would, so the draws
+and intervals are the same as fitting the resamples one at a time.
 """
 from __future__ import annotations
 
@@ -30,10 +31,12 @@ from .scaling import (
 
 __all__ = ["BootstrapConfig", "BootstrapResult", "bootstrap_fit"]
 
-# Upper bound on resamples x starts x points in one batched BFGS run; a
-# chunk always holds at least one resample, so a full start grid per
-# resample runs one resample at a time.
-_CHUNK_ELEMS = 8192
+# Upper bound on resamples x starts in one batched BFGS run, enough for
+# every warm resample of a default 1,000-resample bootstrap; a run always
+# holds at least one resample. Its objective evaluates the rows in blocks
+# (scaling._CHUNK_ELEMS), so the cap bounds only the optimizer's own
+# per-row state.
+_RUN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -78,41 +81,46 @@ def _curve_values(fit, grid: np.ndarray) -> np.ndarray:
 
 
 def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
-    """Fit every resample `points[idx]` for idx in `draws`, in batched chunks.
+    """Fit every resample `points[idx]` for idx in `draws`, in batched runs.
 
     Returns one fit per draw, or None where fitting that resample alone
     would raise: its points fail validation, one of its starts is not
     finite at the initial point, or every start diverges. Only resamples
-    of equal length share a chunk, so no data is padded; each chunk's data
-    is built just before it is fitted.
+    of equal length share a run, so no data is padded; all of them share
+    one run unless it would exceed _RUN_ROWS rows. Each run's data is
+    written into (resamples, n) arrays just before it is fitted.
     """
     form = _FORMS[fit_kind]
     nodes = form.grid(cfg)
     starts = len(nodes)
+    per_run = max(1, _RUN_ROWS // starts)
     by_len = {}
     for i, idx in enumerate(draws):
         by_len.setdefault(len(idx), []).append(i)
 
     fits = [None] * len(draws)
     for n, members in by_len.items():
-        per_chunk = max(1, _CHUNK_ELEMS // (starts * n))
-        for c in range(0, len(members), per_chunk):
-            chunk, datas, inits = [], [], []
-            for i in members[c : c + per_chunk]:
+        for c in range(0, len(members), per_run):
+            batch = members[c : c + per_run]
+            run, inits, stacked = [], [], None
+            for i in batch:
                 try:
                     data = form.data(points[draws[i]], cfg, x_kind)
                 except ValueError:
                     continue
-                chunk.append(i)
-                datas.append(data)
+                if stacked is None:
+                    stacked = [np.empty((len(batch), n)) for _ in data]
+                for column, values in zip(stacked, data):
+                    column[len(run)] = values
+                run.append(i)
                 inits.append(form.starts(data, nodes))
-            if not chunk:
+            if not run:
                 continue
-            stacked = [np.stack(arrays) for arrays in zip(*datas)]
+            stacked = [column[: len(run)] for column in stacked]
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
             P0 = np.array([p for own in inits for p in own], dtype=float)
             X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
-            for j, i in enumerate(chunk):
+            for j, i in enumerate(run):
                 rows = slice(j * starts, (j + 1) * starts)
                 if not np.all(started[rows]):
                     continue
@@ -153,11 +161,12 @@ def bootstrap_fit(
     estimate only (for joint fits, from its exponents) instead of the full
     start grid.
 
-    The resamples are fitted together, in chunks of batched BFGS runs. The
-    draws, the failed resamples and the intervals are those of fitting each
-    resample alone with the same `fit_*` call: a resample fails, and is left
-    out of the intervals, where that call would raise. More than 20% failed
-    resamples raise RuntimeError.
+    The resamples of each length are fitted together, in one batched BFGS
+    run of at most _RUN_ROWS rows (resamples x starts) or as few such runs
+    as hold them. The draws, the failed resamples and the intervals are
+    those of fitting each resample alone with the same `fit_*` call: a
+    resample fails, and is left out of the intervals, where that call would
+    raise. More than 20% failed resamples raise RuntimeError.
     """
     points = np.asarray(points, dtype=float)
     point_fit = _fit_once(points, fit_kind, fit_cfg, x_kind)

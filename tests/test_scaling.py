@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from scalefit.numerics import check_gradient
+from scalefit import scaling
+from scalefit.numerics import HuberParams, check_gradient
 from scalefit.scaling import (
     FitConfig,
     JointFit,
@@ -14,7 +15,9 @@ from scalefit.scaling import (
     _COEF_FLOOR,
     _FORMS,
     _joint_project,
+    _power_fg,
     _power_objective,
+    _stacked_objective,
     fit_joint,
     fit_power_law,
     fit_shifted_power_law,
@@ -339,3 +342,31 @@ class TestObjectiveGradient:
         for _ in range(20):
             p = np.array([rng.uniform(-1, 1), rng.uniform(0, 5), rng.uniform(0, 2)])
             assert check_gradient(single, p, fd_step=1e-6) < 1e-4
+
+
+class TestStackedObjective:
+    """Rows evaluated in blocks get the values and gradients of one kernel call."""
+
+    def test_blocks_match_one_call(self):
+        rng = np.random.default_rng(0)
+        starts, n = 3, 50
+        block = scaling._CHUNK_ELEMS // n
+        datasets = 2 * block  # (starts * datasets) rows, several blocks of them
+        data = (
+            np.log(rng.uniform(1e-2, 1e2, (datasets, n))),
+            np.log(rng.uniform(0.2, 0.9, (datasets, n))),
+        )
+        rows = np.sort(rng.choice(starts * datasets, 5 * block // 2, replace=False))
+        P = np.column_stack(
+            [rng.uniform(-1, 1, len(rows)), rng.uniform(0, 5, len(rows)), rng.uniform(0, 2, len(rows))]
+        )
+        P[block + 1, 1] = np.inf  # a row whose value and gradient are not finite
+        fg = _stacked_objective(_power_fg, data, starts, 1e-3)
+        owner = rows // starts
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_ref, g_ref = _power_fg(P, data[0][owner], data[1][owner], HuberParams(1e-3), True)
+        f, g = fg(P, rows, True)
+        assert not np.isfinite(f[block + 1]) and not np.all(np.isfinite(g[block + 1]))
+        assert np.array_equal(f, f_ref, equal_nan=True)
+        assert np.array_equal(g, g_ref, equal_nan=True)
+        assert np.array_equal(fg(P, rows, False), f_ref, equal_nan=True)
