@@ -712,9 +712,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_numbers(argv: list) -> list:
+    """argv with each `--option VALUE` whose VALUE is a number starting with "-"
+    written as `--option=VALUE`.
+
+    argparse takes a value such as -1e9 or -inf, which starts with "-" and
+    is not a plain decimal, for an option and rejects it as a missing
+    argument; joined to its option, it reaches the option's own checks.
+    """
+    out = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if option.startswith("--") and option != "--" and "=" not in option and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from collections import Counter
 from contextlib import suppress
@@ -59,7 +60,7 @@ RESOURCE_FIELDS = {"flops": "flops", "params": "n_params", "samples": "samples_s
 _BOUNDS = (
     ("n_params", lambda v: v >= 1, "n_params must be >= 1"),
     ("samples_seen", lambda v: v >= 1, "samples_seen must be >= 1"),
-    ("flops", lambda v: v > 0, "flops must be positive"),
+    ("flops", lambda v: 0 < v < math.inf, "flops must be positive"),
     ("samples_per_class", lambda v: v == "full" or isinstance(v, int) and v >= 1,
      "samples_per_class must be a positive integer or 'full', got {!r}"),
     ("val_accuracy", lambda v: v is None or 0.0 <= v <= 1.0, "val_accuracy outside [0, 1]"),

@@ -359,7 +359,7 @@ class TestAllocate:
         ) == 1
         assert "cm.json: report has no field 'n'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "0", "-1e9", "-inf"])
     def test_allocate_rejects_bad_budget_before_reading_reports(self, tmp_path, capsys, budget):
         out = tmp_path / "a.json"
         assert run(

@@ -294,7 +294,7 @@ class TestRoundTrip:
 # The test id ends in whether the table is accepted without a warning.
 COLUMN_CASES = [
     ("flops", "nan", "run r1: flops must be positive", None),
-    ("flops", "inf", None, None),
+    ("flops", "inf", "run r1: flops must be positive", None),
     ("flops", "1e-320", None, None),
     ("flops", "-0.0", "run r1: flops must be positive", None),
     ("flops", "0", "run r1: flops must be positive", None),
@@ -465,6 +465,10 @@ class TestRecordInvariants:
     def test_rejects_nan_flops(self):
         with pytest.raises(ValueError, match="^run r: flops must be positive$"):
             make_record(flops=float("nan"))
+
+    def test_rejects_inf_flops(self):
+        with pytest.raises(ValueError, match="^run r: flops must be positive$"):
+            make_record(flops=float("inf"))
 
     @pytest.mark.parametrize("kw, message", [
         ({"n_params": 0, "flops": 0.0}, "n_params must be >= 1"),
