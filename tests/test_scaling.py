@@ -357,9 +357,7 @@ class TestStackedObjective:
             np.log(rng.uniform(0.2, 0.9, (datasets, n))),
         )
         rows = np.sort(rng.choice(starts * datasets, 5 * block // 2, replace=False))
-        P = np.column_stack(
-            [rng.uniform(-1, 1, len(rows)), rng.uniform(0, 5, len(rows)), rng.uniform(0, 2, len(rows))]
-        )
+        P = rng.uniform([-1, 0, 0], [1, 5, 2], (len(rows), 3))  # (e, a, alpha)
         P[block + 1, 1] = np.inf  # a row whose value and gradient are not finite
         fg = _stacked_objective(_power_fg, data, starts, 1e-3)
         owner = rows // starts
