@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import warnings
 from dataclasses import replace
 
@@ -252,6 +253,21 @@ class TestIngest:
         assert len(table) == 1
         assert table.rows[0].scores["V1"] == pytest.approx(0.32)
         assert table.rows[0].seed == -1
+
+    @pytest.mark.xfail(strict=True, reason="the flops sum overflows to inf")
+    @pytest.mark.parametrize(
+        "flops, mean",
+        [((1.5e308, 1.5e308), 1.5e308), ((sys.float_info.max,) * 3, sys.float_info.max)],
+        ids=["two-1.5e308", "three-max"],
+    )
+    def test_average_seeds_huge_flops(self, tmp_path, flops, mean):
+        # the mean of finite flops is finite, and the averaged table re-ingests
+        rows = [line(run_id=f"r{s}", seed=str(s), flops=repr(f)) for s, f in enumerate(flops)]
+        table = ingest(write_csv(tmp_path, [HEADER] + rows), average_seeds=True)
+        assert [r.flops for r in table.rows] == [mean]
+        out = tmp_path / "avg.csv"
+        export(table, out)
+        assert ingest(out).rows == table.rows
 
 
 class TestRoundTrip:

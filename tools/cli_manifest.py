@@ -156,6 +156,9 @@ COMMANDS = [
     ["ingest", "--input", "inf_flops.csv", "--output", "err_inf_flops.csv"],
     ["allocate", "--fit-report", "fit_joint.json", "--compute-model", "cm.json",
      "--budget", "-1e9", "--output", "err_alloc_negative.json"],
+    # two seed rows whose flops sum overflows; the averaged table is read back
+    ["ingest", "--input", "huge_flops.csv", "--average-seeds", "--output", "huge_avg.csv"],
+    ["ingest", "--input", "huge_avg.csv", "--output", "huge_avg_back.csv"],
 ]
 
 TABLE_HEADER = (
@@ -215,6 +218,7 @@ def write_inputs():
         ("bad_rows.csv", [TABLE_HEADER, *BAD_ROWS]),
         ("multi_fault.csv", [TABLE_HEADER, *MULTI_FAULT_ROWS]),
         ("inf_flops.csv", [TABLE_HEADER, *(r.replace(",3.9e12,", ",inf,") for r in TABLE_ROWS)]),
+        ("huge_flops.csv", [TABLE_HEADER, *(r.replace(",1.2e11,", ",1.5e308,") for r in TABLE_ROWS)]),
         ("repeated.csv", [TABLE_HEADER + ",score_v1", *(row + ",0.99" for row in TABLE_ROWS)]),
         ("dup.csv", [TABLE_HEADER, *TABLE_ROWS, TABLE_ROWS[2]]),
         ("no_flops.csv", [TABLE_HEADER.replace(",flops", ""), *TABLE_ROWS]),
