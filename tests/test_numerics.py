@@ -10,6 +10,7 @@ from scalefit.numerics import (
     OptimizerConfig,
     check_gradient,
     huber,
+    huber_deriv,
     lse,
     loglog_linreg,
     minimize,
@@ -17,6 +18,29 @@ from scalefit.numerics import (
 from scalefit.numerics import _bfgs_rows
 
 HP = HuberParams(1e-3)
+
+
+HUBER_SPECIALS = [0.0, -0.0, 1e-3, -1e-3, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324]
+
+
+def branch_huber(r, delta):
+    """The Huber loss by its two branches: 0.5 r^2 within delta, delta (|r| - delta / 2) beyond."""
+    a = np.abs(r)
+    return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+
+
+def clip_huber(r, delta):
+    """(loss, derivative) from one clip dh = clip(r, -delta, delta): loss |dh (r - dh / 2)|."""
+    dh = np.clip(r, -delta, delta)
+    return np.abs(dh * (r - 0.5 * dh)), dh
+
+
+def assert_same_bits(a, b):
+    """a and b are NaN at the same places and bit-identical elsewhere, signed zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    keep = ~np.isnan(a)
+    assert np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
 
 
 class TestHuber:
@@ -47,6 +71,20 @@ class TestHuber:
         eps = 1e-12
         d = HP.delta
         assert abs(huber(d + eps, HP) - huber(d - eps, HP)) < 1e-14
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(HUBER_SPECIALS), st.floats()), min_size=1, max_size=40),
+        st.sampled_from([1e-3, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=300)
+    def test_clip_form_bit_identical(self, values, delta):
+        r = np.array(values + [delta, -delta])
+        hp = HuberParams(delta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, deriv = clip_huber(r, delta)
+            assert_same_bits(value, branch_huber(r, delta))
+        assert_same_bits(value, huber(r, hp))
+        assert_same_bits(deriv, huber_deriv(r, hp))
 
 
 class TestLse:

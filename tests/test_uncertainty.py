@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from scalefit.scaling import (
     fit_shifted_power_law,
 )
 from scalefit.synth import CurveGenerator, gen_curve_points
-from scalefit.uncertainty import BootstrapConfig, BootstrapResult, _warm_cfg, bootstrap_fit
+from scalefit.uncertainty import (
+    BootstrapConfig,
+    BootstrapResult,
+    _curve_values,
+    _fit_resamples,
+    _warm_cfg,
+    bootstrap_fit,
+)
 
 ID_CFG = FitConfig(rescale=Rescale(1.0, 1.0, 1.0))
 
@@ -164,15 +172,30 @@ def joint_points():
     return gen_curve_points(g)
 
 
-def shifted_points():
+def shifted_points(n=30):
     g = CurveGenerator(
         form="shifted",
         true_params={"E": 0.3, "A": 1.0, "alpha": 0.4, "lambda": 0.5},
-        x_grid=tuple(np.logspace(-2, 3, 30)),
+        x_grid=tuple(np.logspace(-2, 3, n)),
         noise_sigma_log=0.03,
         seed=1,
     )
     return gen_curve_points(g)
+
+
+def sparse_joint_clusters():
+    """13 joint points in 3 clusters, one per N: a lone point at the least N, then
+    N's next two values at every D. Picking one cluster thrice leaves 3 points
+    or a single N, so about a ninth of the resamples fail."""
+    pts = joint_points()
+    N = np.unique(pts[:, 0])
+    keep = (pts[:, 0] != N[0]) | (pts[:, 1] == pts[0, 1])
+    keep &= pts[:, 0] <= N[2]
+    pts = pts[keep]
+    return pts, np.searchsorted(N, pts[:, 0])
+
+
+SPARSE_JOINT, SPARSE_JOINT_CLUSTERS = sparse_joint_clusters()
 
 
 # 25 rows in clusters of 1 to 5, so resamples differ in length.
@@ -191,21 +214,28 @@ SMALL_CFG = FitConfig(
 )
 
 
+def resample_draws(points, bs_cfg, cluster_ids=None):
+    """The row indices of each resample, from the streams bootstrap_fit draws them from."""
+    n = len(points)
+    if cluster_ids is not None:
+        clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
+    draws = []
+    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
+        rng = np.random.default_rng(child)
+        if cluster_ids is None:
+            draws.append(rng.integers(0, n, size=n))
+        else:
+            picks = rng.integers(0, len(clusters), size=len(clusters))
+            draws.append(np.concatenate([clusters[p] for p in picks]))
+    return draws
+
+
 def one_at_a_time(point, points, fit_kind, fit_cfg, bs_cfg, warm_start, cluster_ids=None):
     """(param_ci, n_failed) from one fit_* call per resample, same streams."""
     fit = FITS[fit_kind]
     cfg = _warm_cfg(fit_cfg, point) if warm_start else fit_cfg
-    n = len(points)
-    if cluster_ids is not None:
-        clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
     draws, failed = [], 0
-    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
-        rng = np.random.default_rng(child)
-        if cluster_ids is None:
-            idx = rng.integers(0, n, size=n)
-        else:
-            picks = rng.integers(0, len(clusters), size=len(clusters))
-            idx = np.concatenate([clusters[p] for p in picks])
+    for idx in resample_draws(points, bs_cfg, cluster_ids):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -237,14 +267,18 @@ class TestBatchedMatchesOneAtATime:
             (noisy_points(n=60, seed=9), "power", SMALL_CFG, 300, True, None),
             # 150 starts per resample: runs of several resamples each
             (noisy_points(n=30, seed=8), "power", ID_CFG, 12, False, None),
+            # resamples that fail the count rules: < 3 distinct X; < 5 points or one N
+            (shifted_points(n=6), "shifted", SMALL_CFG, 40, True, None),
+            (SPARSE_JOINT, "joint", SMALL_CFG, 30, True, SPARSE_JOINT_CLUSTERS),
         ],
         ids=[
             "power-warm", "power-cold", "shifted-warm", "joint-warm", "joint-cold",
             "clusters-unequal", "power-warm-blocks", "power-cold-runs",
+            "shifted-warm-failures", "joint-clusters-failures",
         ],
     )
     def test_param_ci_and_failures_identical(
-        self, points, fit_kind, fit_cfg, resamples, warm_start, cluster_ids
+        self, request, points, fit_kind, fit_cfg, resamples, warm_start, cluster_ids
     ):
         bs_cfg = BootstrapConfig(resamples=resamples, seed=11)
         res = bootstrap_fit(
@@ -255,3 +289,35 @@ class TestBatchedMatchesOneAtATime:
         )
         assert res.param_ci == ci
         assert res.n_failed_resamples == failed
+        if request.node.callspec.id.endswith("-failures"):
+            assert failed > 0
+
+
+# A grid with non-unit scales, so the band divides by them.
+SCALED_CFG = replace(SMALL_CFG, rescale=Rescale(10.0, 3.0, 7.0))
+
+
+class TestCurveBand:
+    """Each curve of the band is its resample fit's own curve, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "points, fit_kind, grid",
+        [
+            (noisy_points(sigma=0.08, seed=3), "power", tuple(np.logspace(-2, 2, 9))),
+            (shifted_points(), "shifted", tuple(np.logspace(-2, 3, 11))),
+            (joint_points(), "joint", ((1.0, 1.0), (10.0, 30.0), (300.0, 5.0), (1e3, 1e3))),
+        ],
+        ids=["power", "shifted", "joint"],
+    )
+    def test_band_is_per_fit_curves(self, points, fit_kind, grid):
+        bs_cfg = BootstrapConfig(resamples=40, seed=3, curve_grid=grid)
+        res = bootstrap_fit(points, fit_kind, SCALED_CFG, bs_cfg, warm_start=True)
+        cfg = _warm_cfg(SCALED_CFG, res.point_estimate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fits = _fit_resamples(points, resample_draws(points, bs_cfg), fit_kind, cfg, "flops")
+        fits = [fit for fit in fits if fit is not None]
+        curves = np.array([_curve_values(fit, np.asarray(grid, dtype=float)) for fit in fits])
+        lo = np.percentile(curves, 2.5, axis=0)
+        hi = np.percentile(curves, 97.5, axis=0)
+        assert res.curve_ci == [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
