@@ -312,13 +312,19 @@ def _average_seeds(table: RunTable) -> RunTable:
         first = grp[0]
         k = len(grp)
         vas = [g.val_accuracy for g in grp if g.val_accuracy is not None]
-        # Means of valid values are valid: the record needs no __post_init__ checks.
+        flops = sum(g.flops for g in grp) / k
+        if not math.isfinite(flops):
+            # The sum overflowed. A sum of quotients can still round past the
+            # largest float, which the mean, at most the largest value, is not.
+            flops = min(sum(g.flops / k for g in grp), max(g.flops for g in grp))
+        # Each mean, flops' included, meets the bounds its values meet, so the
+        # record needs no __post_init__ checks.
         out.append(_trusted_record({
             **first.__dict__,
             "run_id": first.run_id + "_seedavg",
             "seed": -1,
             "samples_seen": round(sum(g.samples_seen for g in grp) / k),
-            "flops": sum(g.flops for g in grp) / k,
+            "flops": flops,
             "scores": {region: sum(g.scores[region] for g in grp) / k for region in first.scores},
             "val_accuracy": sum(vas) / len(vas) if vas else None,
         }))

@@ -254,7 +254,6 @@ class TestIngest:
         assert table.rows[0].scores["V1"] == pytest.approx(0.32)
         assert table.rows[0].seed == -1
 
-    @pytest.mark.xfail(strict=True, reason="the flops sum overflows to inf")
     @pytest.mark.parametrize(
         "flops, mean",
         [((1.5e308, 1.5e308), 1.5e308), ((sys.float_info.max,) * 3, sys.float_info.max)],
