@@ -3,6 +3,7 @@
 Usage:
 
     PYTHONPATH=<tree>/src python tools/cli_manifest.py OUTDIR
+    PYTHONPATH=<tree>/src python tools/cli_manifest.py --compare OLD_OUTDIR NEW_OUTDIR
 
 Every command runs in-process through ``scalefit.cli.main`` with OUTDIR as
 the working directory and relative paths, so no path of the machine enters
@@ -15,6 +16,12 @@ Running it on two source trees into two empty directories and diffing the
 two manifests checks that the trees' CLI outputs are byte-identical. The
 command set ends with error-path cases, whose exit codes and messages are
 expected to differ only where a change means them to.
+
+Where a change is meant to move numbers only in their last digits,
+``--compare`` reads two such directories' outputs as numbers: for every
+output that differs it prints the largest relative difference, then each
+JSON key path, CSV cell or (in other text, such as SVG) numbered token
+that moved by more than 1e-9 relative, and any non-numeric change.
 """
 from __future__ import annotations
 
@@ -23,7 +30,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 
 from scalefit.cli import main
@@ -302,7 +311,105 @@ def build_manifest(outdir: str) -> None:
     print(f"{len(COMMANDS)} commands -> {os.path.join(outdir, 'manifest.txt')}")
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|Infinity|nan|NaN)")
+MOVED = 1e-9
+
+
+def flatten(value, path=""):
+    """(location, leaf) pairs of a JSON value, locations as key paths like a.b[0]."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from flatten(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def leaves(path) -> dict:
+    """Each value of an output by its location: a JSON key path, a CSV cell named
+    by row and column, or the k-th number of other text (#k, with the text
+    between numbers under #text)."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        with contextlib.suppress(ValueError):
+            return dict(flatten(json.loads(text)))
+    if path.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        header = rows[0] if rows else []
+        return {
+            f"row {i} {header[j] if j < len(header) else j}": cell
+            for i, row in enumerate(rows[1:], start=1)
+            for j, cell in enumerate(row)
+        }
+    return {
+        **{f"#{k}": m.group() for k, m in enumerate(NUMBER.finditer(text))},
+        "#text": NUMBER.sub("#", text),
+    }
+
+
+def as_number(value):
+    """A float for an int, float or numeric string; None for anything else."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(old_dir: str, new_dir: str) -> None:
+    """Print each output's largest relative difference and the values that moved."""
+    def outputs(d):
+        return {n for n in os.listdir(d) if not n.endswith(".log") and n != "manifest.txt"}
+
+    old, new = outputs(old_dir), outputs(new_dir)
+    for name in sorted(old ^ new):
+        print(f"{name}: only in {old_dir if name in old else new_dir}")
+    same = 0
+    for name in sorted(old & new):
+        a, b = os.path.join(old_dir, name), os.path.join(new_dir, name)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() == fb.read():
+                same += 1
+                continue
+        try:
+            va, vb = leaves(a), leaves(b)
+        except UnicodeDecodeError:
+            print(f"{name}: binary, differs")
+            continue
+        largest, lines = 0.0, []
+        for key in sorted(va.keys() | vb.keys()):
+            x, y = va.get(key), vb.get(key)
+            fx, fy = as_number(x), as_number(y)
+            if fx is None or fy is None:
+                if x != y:
+                    lines.append(f"  {key}: {x!r} -> {y!r}")
+                continue
+            rel = relative(fx, fy)
+            largest = max(largest, rel)
+            if rel > MOVED:
+                lines.append(f"  {key}: {x} -> {y} (rel {rel:.2e})")
+        print(f"{name}: largest relative difference {largest:.2e}")
+        for line in lines:
+            print(line)
+    print(f"{same} outputs byte-identical")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: cli_manifest.py OUTDIR")
-    build_manifest(sys.argv[1])
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 2:
+        build_manifest(sys.argv[1])
+    else:
+        sys.exit("usage: cli_manifest.py OUTDIR | --compare OLD_OUTDIR NEW_OUTDIR")
