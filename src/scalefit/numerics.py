@@ -58,12 +58,20 @@ class MinimizeResult:
     grad_norm: float
 
 
+def _huber_parts(r, delta: float):
+    """(loss, derivative) of the Huber loss at r, both from one clip.
+
+    The derivative is dh = clip(r, -delta, delta) and the loss |dh (r - dh/2)|,
+    which is 0.5 r^2 within delta and delta (|r| - 0.5 delta) beyond, bit for
+    bit. The abs only turns the -0.0 that r = -0.0 gives into +0.0.
+    """
+    dh = np.clip(r, -delta, delta)
+    return np.abs(dh * (r - 0.5 * dh)), dh
+
+
 def huber(r, params: HuberParams = HuberParams()):
     """Huber loss: 0.5 r^2 for |r| <= delta, delta (|r| - 0.5 delta) beyond."""
-    r = np.asarray(r, dtype=float)
-    d = params.delta
-    a = np.abs(r)
-    out = np.where(a <= d, 0.5 * r * r, d * (a - 0.5 * d))
+    out = _huber_parts(np.asarray(r, dtype=float), params.delta)[0]
     return out if out.ndim else float(out)
 
 
@@ -83,6 +91,26 @@ def lse(terms) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.sum(np.exp(t - m))))
+
+
+def _logaddexp(x, y):
+    """np.logaddexp(x, y) by its own formula, max(x, y) + log1p(exp(-|x - y|)),
+    in vector ufuncs where np.logaddexp runs a scalar loop.
+
+    The vector exp and log1p can differ from the scalar ones in the last bits:
+    the result is within 2 ulp of max(|x|, |y|, |np.logaddexp(x, y)|) of
+    np.logaddexp's. Equal infinities give that infinity, and a NaN gives NaN.
+    """
+    t = np.subtract(x, y)
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    # x - y is NaN only for a NaN, which the max carries, or for equal
+    # infinities, whose sum is the max itself.
+    np.fmax(t, 0.0, out=t)
+    t += np.maximum(x, y)
+    return t
 
 
 def loglog_linreg(x, y) -> tuple[float, float, float]:

@@ -13,6 +13,12 @@ nonnegative by construction. Power and shifted fits start from the product
 of every parameter's grid. Joint fits start from the grid of the exponents
 only: at each (alpha, beta) node the curve is linear in (E, A, B), which
 are solved by nonnegative least squares (variable projection).
+
+The objective kernels evaluate many starts at once, in whole-array numpy:
+the log-sum-exp is `numerics._logaddexp` and the loss and its derivative
+come from one clip (`numerics._huber_parts`). Their vector exp and log1p
+follow numpy's SIMD dispatch for the CPU, so fitted values can differ in
+the last bits between CPUs.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import HuberParams, OptimizerConfig, huber, huber_deriv, minimize_batch
+from .numerics import HuberParams, OptimizerConfig, _huber_parts, _logaddexp, minimize_batch
 from .records import RESOURCE_FIELDS
 
 __all__ = [
@@ -166,12 +172,15 @@ def _clean_L(L: np.ndarray) -> np.ndarray:
     return L
 
 
-# Each form's data step validates the points exactly as its fit_* function
-# documents (raising ValueError) and returns the per-point arrays its
-# objective reads, each of shape (n,).
+# Each form reads its points in three steps: `parse` checks their shape and
+# signs and returns the resource columns and L, each of shape (n,); the
+# form's `counts` rules check how many points and distinct resource values
+# they hold; and `arrays` turns them into the per-point arrays its objective
+# reads. A subset of valid points passes `parse`, so only `counts` can fail
+# a bootstrap resample.
 
 
-def _xl_points(points, x_kind):
+def _xl_columns(points, x_kind):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2) of (X, L)")
@@ -180,40 +189,51 @@ def _xl_points(points, x_kind):
         raise ValueError(f"unknown x_kind {x_kind!r}")
     if np.any(X <= 0):
         raise ValueError("X values must be positive")
-    if len(X) < 3 or np.unique(X).size < 3:
-        raise ValueError("need at least 3 points with 3 distinct X values")
-    return X, L
+    return (X,), L
 
 
-def _power_data(points, cfg: FitConfig, x_kind: str):
-    X, L = _xl_points(points, x_kind)
-    Xs = X / cfg.rescale.factor(x_kind)
-    L = _clean_L(L)
-    return np.log(Xs), np.log(L)
-
-
-def _shifted_data(points, cfg: FitConfig, x_kind: str):
-    X, L = _xl_points(points, x_kind)
-    Xs = X / cfg.rescale.factor(x_kind)
-    L = _clean_L(L)
-    return Xs, np.log(L)
-
-
-def _joint_data(points, cfg: FitConfig, x_kind: str):
+def _nd_columns(points, x_kind):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3) of (N, D, L)")
     N, D, L = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.any(N <= 0) or np.any(D <= 0):
         raise ValueError("N and D values must be positive")
-    if len(N) < 5:
-        raise ValueError("need at least 5 points")
-    if np.unique(N).size < 2 or np.unique(D).size < 2:
-        raise ValueError("insufficient span: need >= 2 distinct N and >= 2 distinct D")
-    Ns = N / cfg.rescale.n_scale
-    Ds = D / cfg.rescale.d_scale
-    L = _clean_L(L)
-    return np.log(Ns), np.log(Ds), np.log(L)
+    return (N, D), L
+
+
+def _power_arrays(resources, L, cfg: FitConfig, x_kind: str):
+    (X,) = resources
+    return np.log(X / cfg.rescale.factor(x_kind)), np.log(L)
+
+
+def _shifted_arrays(resources, L, cfg: FitConfig, x_kind: str):
+    (X,) = resources
+    return X / cfg.rescale.factor(x_kind), np.log(L)
+
+
+def _joint_arrays(resources, L, cfg: FitConfig, x_kind: str):
+    N, D = resources
+    return np.log(N / cfg.rescale.n_scale), np.log(D / cfg.rescale.d_scale), np.log(L)
+
+
+@dataclass(frozen=True)
+class _Count:
+    """A least number of points and of distinct values in each resource column."""
+
+    points: int
+    distinct: int
+    message: str  # of the ValueError raised for data that falls short
+
+
+def _distinct(V: np.ndarray) -> np.ndarray:
+    """The number of distinct values in each row of V (R, n), counted as np.unique
+    counts them: NaNs, which sort last, count once."""
+    S = np.sort(V, axis=1)
+    if S.shape[1] == 0:
+        return np.zeros(len(S), dtype=int)
+    rises = np.count_nonzero(S[:, 1:] > S[:, :-1], axis=1)
+    return 1 + rises + (np.isnan(S[:, -1]) & ~np.isnan(S[:, 0]))
 
 
 # Each form's objective evaluates K parameter rows P (K, d) against data
@@ -224,17 +244,17 @@ def _joint_data(points, cfg: FitConfig, x_kind: str):
 def _power_fg(P, logX, logL, hp, need_grad):
     e, a, al = P[:, 0:1], P[:, 1:2], P[:, 2:3]
     t = a - al * logX
-    s = np.logaddexp(t, e)
-    r = s - logL
-    fv = np.sum(huber(r, hp), axis=1)
+    s = _logaddexp(t, e)
+    h, dh = _huber_parts(s - logL, hp.delta)
+    fv = np.sum(h, axis=1)
     if not need_grad:
         return fv
-    dh = huber_deriv(r, hp)
     w = np.exp(t - s)
     we = np.exp(e - s)
+    dhw = dh * w
     ge = np.sum(dh * we, axis=1)
-    ga = np.sum(dh * w, axis=1)
-    gal = -np.sum(dh * w * logX, axis=1)
+    ga = np.sum(dhw, axis=1)
+    gal = -np.sum(dhw * logX, axis=1)
     return fv, np.stack([ge, ga, gal], axis=1)
 
 
@@ -247,21 +267,21 @@ def _shifted_fg(P, X, logL, hp, need_grad, freeze_lambda=False):
     Xs = X + shift
     logXs = np.log(Xs)
     t = a - al * logXs
-    s = np.logaddexp(t, e)
-    r = s - logL
-    fv = np.sum(huber(r, hp), axis=1)
+    s = _logaddexp(t, e)
+    h, dh = _huber_parts(s - logL, hp.delta)
+    fv = np.sum(h, axis=1)
     if not need_grad:
         return fv
-    dh = huber_deriv(r, hp)
     w = np.exp(t - s)
     we = np.exp(e - s)
+    dhw = dh * w
     ge = np.sum(dh * we, axis=1)
-    ga = np.sum(dh * w, axis=1)
-    gal = -np.sum(dh * w * logXs, axis=1)
+    ga = np.sum(dhw, axis=1)
+    gal = -np.sum(dhw * logXs, axis=1)
     if freeze_lambda:
         glam = np.zeros_like(ge)
     else:
-        glam = -np.sum(dh * w * al * (shift * _LN10) / Xs, axis=1)
+        glam = -np.sum(dhw * al * (shift * _LN10) / Xs, axis=1)
     return fv, np.stack([ge, ga, gal, glam], axis=1)
 
 
@@ -269,22 +289,21 @@ def _joint_fg(P, logN, logD, logL, hp, need_grad):
     e, a, al, b, be = (P[:, i : i + 1] for i in range(5))
     tn = a - al * logN
     td = b - be * logD
-    s = np.logaddexp(np.logaddexp(tn, td), e)
-    r = s - logL
-    fv = np.sum(huber(r, hp), axis=1)
+    s = _logaddexp(_logaddexp(tn, td), e)
+    h, dh = _huber_parts(s - logL, hp.delta)
+    fv = np.sum(h, axis=1)
     if not need_grad:
         return fv
-    dh = huber_deriv(r, hp)
-    wn = np.exp(tn - s)
-    wd = np.exp(td - s)
+    dhn = dh * np.exp(tn - s)
+    dhd = dh * np.exp(td - s)
     we = np.exp(e - s)
     g = np.stack(
         [
             np.sum(dh * we, axis=1),
-            np.sum(dh * wn, axis=1),
-            -np.sum(dh * wn * logN, axis=1),
-            np.sum(dh * wd, axis=1),
-            -np.sum(dh * wd * logD, axis=1),
+            np.sum(dhn, axis=1),
+            -np.sum(dhn * logN, axis=1),
+            np.sum(dhd, axis=1),
+            -np.sum(dhd * logD, axis=1),
         ],
         axis=1,
     )
@@ -315,10 +334,12 @@ _CHUNK_ELEMS = 8192
 def _stacked_objective(fg, data, starts: int, delta: float):
     """Row-aware objective fg(P, rows, need_grad) over stacked datasets.
 
-    `data` holds arrays of shape (R, n), one row per dataset; batch row r
-    belongs to dataset r // starts. The rows are evaluated in blocks of at
-    most _CHUNK_ELEMS // n, whose results are concatenated; a row's value
-    and gradient do not depend on the block it falls in.
+    `data` holds arrays of shape (R, n), one row per dataset, such as the
+    per-point arrays of all points gathered at each bootstrap resample's
+    indices; batch row r belongs to dataset r // starts. The rows are
+    evaluated in blocks of at most _CHUNK_ELEMS // n, whose results are
+    concatenated; a row's value and gradient do not depend on the block it
+    falls in, as the kernels are elementwise along the rows.
     """
     hp = HuberParams(delta)
     block = max(1, _CHUNK_ELEMS // data[0].shape[1])
@@ -463,7 +484,9 @@ class _Form:
     params: tuple  # _Param per parameter-vector entry
     columns: tuple  # input columns: the resources, then l
     scales: tuple  # fit-class field per resource column
-    data: Callable  # (points, cfg, x_kind) -> per-point arrays; validates
+    parse: Callable  # (points, x_kind) -> (resource columns, L); validates
+    counts: tuple  # _Count rules the points must meet, checked in order
+    arrays: Callable  # (resource columns, L, cfg, x_kind) -> per-point arrays
     fg: Callable  # (P, *data, hp, need_grad) -> values[, gradients]
     options: tuple = ()  # keyword options of the fit_* function beyond x_kind
     project: Callable | None = None  # (data, nodes) -> one start per node
@@ -481,6 +504,27 @@ class _Form:
     def kinds(self, x_kind: str) -> tuple:
         """The resource kind of each resource column."""
         return tuple(_COLUMN_KINDS.get(c, x_kind) for c in self.resources)
+
+    def data(self, points, cfg: FitConfig, x_kind: str) -> tuple:
+        """The per-point arrays of `points` that `fg` reads, each of shape (n,).
+
+        Raises the ValueError the form's fit_* function documents for points
+        it rejects; clamps L at L_FLOOR, with a warning.
+        """
+        resources, L = self.parse(points, x_kind)
+        for rule, short in zip(self.counts, self.count_faults([c[None, :] for c in resources])):
+            if short[0]:
+                raise ValueError(rule.message)
+        return self.arrays(resources, _clean_L(L), cfg, x_kind)
+
+    def count_faults(self, resources) -> list:
+        """Per `counts` rule, which of R datasets fall short of it.
+
+        `resources` holds each resource column of the datasets, of shape (R, n).
+        """
+        n = resources[0].shape[1]
+        distinct = np.min([_distinct(c) for c in resources], axis=0)
+        return [(n < rule.points) | (distinct < rule.distinct) for rule in self.counts]
 
     def grid(self, cfg: FitConfig) -> list:
         """The start grid's nodes in `cfg`."""
@@ -513,21 +557,29 @@ class _Form:
         return fitter(points, cfg, **options)
 
 
+_X_COUNTS = (_Count(3, 3, "need at least 3 points with 3 distinct X values"),)
+_ND_COUNTS = (
+    _Count(5, 0, "need at least 5 points"),
+    _Count(0, 2, "insufficient span: need >= 2 distinct N and >= 2 distinct D"),
+)
+
 _FORMS = {
     "power": _Form(
         PowerLawFit, "fit_power_law",
         params=(_E, _A, _ALPHA), columns=("x", "l"), scales=("x_scale",),
-        data=_power_data, fg=_power_fg,
+        parse=_xl_columns, counts=_X_COUNTS, arrays=_power_arrays, fg=_power_fg,
     ),
     "shifted": _Form(
         ShiftedPowerLawFit, "fit_shifted_power_law",
         params=(_E, _A, _ALPHA, _LAMBDA), columns=("x", "l"), scales=("x_scale",),
-        data=_shifted_data, fg=_shifted_fg, options=("freeze_lambda",),
+        parse=_xl_columns, counts=_X_COUNTS, arrays=_shifted_arrays, fg=_shifted_fg,
+        options=("freeze_lambda",),
     ),
     "joint": _Form(
         JointFit, "fit_joint",
         params=(_E, _A, _ALPHA, _B, _BETA), columns=("n", "d", "l"), scales=("n_scale", "d_scale"),
-        data=_joint_data, fg=_joint_fg, project=_joint_project,
+        parse=_nd_columns, counts=_ND_COUNTS, arrays=_joint_arrays, fg=_joint_fg,
+        project=_joint_project,
     ),
 }
 
@@ -590,11 +642,24 @@ def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
     return _fit("joint", points, cfg, "flops")
 
 
+def _exp10(lam):
+    """10**lam by Python's float power, one value at a time for an array.
+
+    numpy's vector power can differ from it in the last bit, and a fit whose
+    parameters are columns of many fits must give each fit's own curve.
+    """
+    if np.ndim(lam):
+        return np.reshape([10.0**v for v in np.ravel(lam).tolist()], np.shape(lam))
+    return 10.0**lam
+
+
 def predict(fit, x=None, n=None, d=None):
     """Evaluate a fitted curve; returns (L, S) with S = 1 - L.
 
     Power/shifted fits take raw `x` (rescaled internally with the scale the
-    fit was made with); joint fits take raw `n` and `d`.
+    fit was made with); joint fits take raw `n` and `d`. A fit whose
+    parameters are (k, 1) columns, one row per fit, gives one row of L per
+    fit, each equal to that fit's own curve bit for bit.
     """
     if isinstance(fit, JointFit):
         if n is None or d is None:
@@ -619,7 +684,7 @@ def predict(fit, x=None, n=None, d=None):
             raise ValueError("inputs must be positive")
         xs = x / fit.x_scale
         if isinstance(fit, ShiftedPowerLawFit):
-            L = fit.E + fit.A * (xs + 10.0**fit.lam) ** (-fit.alpha)
+            L = fit.E + fit.A * (xs + _exp10(fit.lam)) ** (-fit.alpha)
         elif isinstance(fit, PowerLawFit):
             L = fit.E + fit.A * xs ** (-fit.alpha)
         else:

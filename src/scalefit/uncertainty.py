@@ -5,9 +5,11 @@ random stream derived from the base seed, so reruns produce bit-identical
 results. All resample indices are drawn first; the resamples of each
 length are then fitted together in one batched BFGS run, or in several
 where resamples x starts would pass a row cap; the run's objective
-evaluates its rows in blocks of bounded size. Each resample's rows run
-exactly the arithmetic a fit of that resample alone would, so the draws
-and intervals are the same as fitting the resamples one at a time.
+evaluates its rows in blocks of bounded size. A resample's data is the
+whole data set's per-point arrays gathered at its indices, and the curve
+band is every fit's curve from one `predict` call. Each resample's rows
+run exactly the arithmetic a fit of that resample alone would, so the
+draws and intervals are the same as fitting the resamples one at a time.
 """
 from __future__ import annotations
 
@@ -80,17 +82,38 @@ def _curve_values(fit, grid: np.ndarray) -> np.ndarray:
     return predict(fit, **dict(zip(_FORMS[fit.form].resources, columns)))[0]
 
 
+def _curve_band(fits: list, grid: np.ndarray) -> np.ndarray:
+    """Every fit's curve at every grid point, shape (fits, points), in one call.
+
+    The fits share one form and one set of scales. Row i is
+    `_curve_values(fits[i], grid)` bit for bit: `predict` runs on a fit whose
+    parameters are columns holding every fit's value.
+    """
+    columns = {
+        p.field: np.array([getattr(fit, p.field) for fit in fits])[:, None]
+        for p in _FORMS[fits[0].form].params
+    }
+    return _curve_values(replace(fits[0], **columns), grid)
+
+
 def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     """Fit every resample `points[idx]` for idx in `draws`, in batched runs.
 
     Returns one fit per draw, or None where fitting that resample alone
-    would raise: its points fail validation, one of its starts is not
-    finite at the initial point, or every start diverges. Only resamples
-    of equal length share a run, so no data is padded; all of them share
-    one run unless it would exceed _RUN_ROWS rows. Each run's data is
-    written into (resamples, n) arrays just before it is fitted.
+    would raise: it falls short of one of the form's `counts` rules, one of
+    its starts is not finite at the initial point, or every start diverges.
+    Only resamples of equal length share a run, so no data is padded; all of
+    them share one run unless it would exceed _RUN_ROWS rows.
+
+    `points` must pass the form's checks as a whole, as the point estimate's
+    do. Their per-point arrays are computed once; a resample's arrays are
+    those arrays at its indices, which is what computing them from
+    `points[idx]` gives, as every step is elementwise. The counts rules are
+    checked for all resamples of a length in one array pass.
     """
     form = _FORMS[fit_kind]
+    data = form.data(points, cfg, x_kind)
+    resources = points.T[: len(form.resources)]
     nodes = form.grid(cfg)
     starts = len(nodes)
     per_run = max(1, _RUN_ROWS // starts)
@@ -100,25 +123,15 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
 
     fits = [None] * len(draws)
     for n, members in by_len.items():
+        index = np.array([draws[i] for i in members], dtype=np.intp).reshape(len(members), n)
+        short = np.logical_or.reduce(form.count_faults([column[index] for column in resources]))
+        members, index = [i for i, s in zip(members, short) if not s], index[~short]
         for c in range(0, len(members), per_run):
-            batch = members[c : c + per_run]
-            run, inits, stacked = [], [], None
-            for i in batch:
-                try:
-                    data = form.data(points[draws[i]], cfg, x_kind)
-                except ValueError:
-                    continue
-                if stacked is None:
-                    stacked = [np.empty((len(batch), n)) for _ in data]
-                for column, values in zip(stacked, data):
-                    column[len(run)] = values
-                run.append(i)
-                inits.append(form.starts(data, nodes))
-            if not run:
-                continue
-            stacked = [column[: len(run)] for column in stacked]
+            run = members[c : c + per_run]
+            stacked = [a[index[c : c + per_run]] for a in data]
+            inits = [form.starts(tuple(a[j] for a in stacked), nodes) for j in range(len(run))]
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
-            P0 = np.array([p for own in inits for p in own], dtype=float)
+            P0 = np.array(inits, dtype=float).reshape(len(run) * starts, -1)
             X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
             for j, i in enumerate(run):
                 rows = slice(j * starts, (j + 1) * starts)
@@ -166,7 +179,9 @@ def bootstrap_fit(
     as hold them. The draws, the failed resamples and the intervals are
     those of fitting each resample alone with the same `fit_*` call: a
     resample fails, and is left out of the intervals, where that call would
-    raise. More than 20% failed resamples raise RuntimeError.
+    raise. More than 20% failed resamples raise RuntimeError. The curve
+    band evaluates every fit at every `curve_grid` point in one `predict`
+    call, equal bit for bit to one call per fit.
     """
     points = np.asarray(points, dtype=float)
     point_fit = _fit_once(points, fit_kind, fit_cfg, x_kind)
@@ -200,7 +215,7 @@ def bootstrap_fit(
 
     param_names = list(point_fit.params())
     grid = list(bs_cfg.curve_grid)
-    param_draws = [[fit.params()[k] for k in param_names] for fit in fits]
+    param_draws = [list(fit.params().values()) for fit in fits]
 
     lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
     hi_q = 100.0 - lo_q
@@ -215,7 +230,7 @@ def bootstrap_fit(
     curve_ci = []
     if grid:
         grid_arr = np.asarray(grid, dtype=float)
-        cd = np.array([_curve_values(fit, grid_arr) for fit in fits])
+        cd = _curve_band(fits, grid_arr)
         lo = np.percentile(cd, lo_q, axis=0)
         hi = np.percentile(cd, hi_q, axis=0)
         curve_ci = [(grid[j], float(lo[j]), float(hi[j])) for j in range(len(grid))]

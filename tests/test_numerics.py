@@ -15,7 +15,7 @@ from scalefit.numerics import (
     loglog_linreg,
     minimize,
 )
-from scalefit.numerics import _bfgs_rows
+from scalefit.numerics import _bfgs_rows, _huber_parts, _logaddexp
 
 HP = HuberParams(1e-3)
 
@@ -27,12 +27,6 @@ def branch_huber(r, delta):
     """The Huber loss by its two branches: 0.5 r^2 within delta, delta (|r| - delta / 2) beyond."""
     a = np.abs(r)
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
-
-
-def clip_huber(r, delta):
-    """(loss, derivative) from one clip dh = clip(r, -delta, delta): loss |dh (r - dh / 2)|."""
-    dh = np.clip(r, -delta, delta)
-    return np.abs(dh * (r - 0.5 * dh)), dh
 
 
 def assert_same_bits(a, b):
@@ -81,10 +75,53 @@ class TestHuber:
         r = np.array(values + [delta, -delta])
         hp = HuberParams(delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            value, deriv = clip_huber(r, delta)
+            value, deriv = _huber_parts(r, delta)
             assert_same_bits(value, branch_huber(r, delta))
         assert_same_bits(value, huber(r, hp))
         assert_same_bits(deriv, huber_deriv(r, hp))
+
+
+LSE_SPECIALS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 709.8, -745.2]
+
+
+class TestLogaddexp:
+    @staticmethod
+    def assert_within_2_ulp(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _logaddexp(x, y), np.logaddexp(x, y)
+            finite = np.isfinite(want)
+            assert_same_bits(got[~finite], want[~finite])
+            got, want = got[finite], want[finite]
+            scale = np.maximum.reduce([np.abs(x[finite]), np.abs(y[finite]), np.abs(want)])
+            assert np.all((got == want) | (np.abs(got - want) <= 2 * np.spacing(scale)))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False), st.floats(-40, 40)), min_size=1, max_size=50
+        )
+    )
+    @settings(max_examples=300)
+    def test_within_2_ulp_of_numpy(self, pairs):
+        x = np.array([p[0] for p in pairs])
+        y = x + np.array([p[1] for p in pairs])  # near pairs, where the log1p term counts
+        self.assert_within_2_ulp(x, y)
+        self.assert_within_2_ulp(x, np.flip(x))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 5.0, 200_000) * 10.0 ** rng.uniform(-3, 2, 200_000)
+        y = x + rng.normal(0.0, 3.0, x.size) * 10.0 ** rng.uniform(-4, 1, x.size)
+        self.assert_within_2_ulp(x, y)
+
+    def test_special_pairs_match_numpy(self):
+        x, y = np.meshgrid(LSE_SPECIALS, LSE_SPECIALS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(_logaddexp(x, y), np.logaddexp(x, y))
+
+    def test_broadcasts(self):
+        x, y = np.linspace(-3.0, 3.0, 12).reshape(4, 3), np.array([[0.5], [-1.0], [2.0], [0.0]])
+        assert _logaddexp(x, y).shape == (4, 3)
+        assert np.allclose(_logaddexp(x, y), np.logaddexp(x, y), rtol=1e-15, atol=0)
 
 
 class TestLse:

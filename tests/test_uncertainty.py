@@ -15,6 +15,7 @@ from scalefit.synth import CurveGenerator, gen_curve_points
 from scalefit.uncertainty import (
     BootstrapConfig,
     BootstrapResult,
+    _curve_band,
     _curve_values,
     _fit_resamples,
     _warm_cfg,
@@ -317,7 +318,10 @@ class TestCurveBand:
             warnings.simplefilter("ignore")
             fits = _fit_resamples(points, resample_draws(points, bs_cfg), fit_kind, cfg, "flops")
         fits = [fit for fit in fits if fit is not None]
-        curves = np.array([_curve_values(fit, np.asarray(grid, dtype=float)) for fit in fits])
-        lo = np.percentile(curves, 2.5, axis=0)
-        hi = np.percentile(curves, 97.5, axis=0)
+        grid_arr = np.asarray(grid, dtype=float)
+        curves = np.array([_curve_values(fit, grid_arr) for fit in fits])
+        assert np.array_equal(_curve_band(fits, grid_arr).view(np.uint64), curves.view(np.uint64))
+        lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
+        lo = np.percentile(curves, lo_q, axis=0)
+        hi = np.percentile(curves, 100.0 - lo_q, axis=0)
         assert res.curve_ci == [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
