@@ -123,7 +123,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
 
     fits = [None] * len(draws)
     for n, members in by_len.items():
-        index = np.array([draws[i] for i in members], dtype=np.intp).reshape(len(members), n)
+        index = np.array([draws[i] for i in members])
         short = np.logical_or.reduce(form.count_faults([column[index] for column in resources]))
         members, index = [i for i, s in zip(members, short) if not s], index[~short]
         for c in range(0, len(members), per_run):
