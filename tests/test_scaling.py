@@ -70,6 +70,21 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="distinct X"):
             fit_power_law(pts, ID_CFG)
 
+    def test_count_rules_on_many_datasets_match_unique(self):
+        # the rules as each fit used to check them, with np.unique per dataset
+        rng = np.random.default_rng(0)
+        for n in range(8):
+            V = rng.integers(1, 5, size=(300, n)).astype(float)
+            V[rng.random(V.shape) < 0.1] = np.nan
+            W = rng.integers(1, 4, size=(300, n)).astype(float)
+            (few_x,) = _FORMS["power"].count_faults([V])
+            assert few_x.tolist() == [n < 3 or np.unique(v).size < 3 for v in V]
+            few, span = _FORMS["joint"].count_faults([V, W])
+            assert np.array_equal(few, np.full(300, n < 5))
+            assert span.tolist() == [
+                np.unique(v).size < 2 or np.unique(w).size < 2 for v, w in zip(V, W)
+            ]
+
     def test_low_l_clamped_with_warning(self):
         pts = power_points(0.0, 1.0, 0.5, x_lo=0, x_hi=20, n=30)
         with pytest.warns(UserWarning, match="clamped"):
@@ -155,6 +170,18 @@ class TestFitShifted:
 
 
 class TestFitJoint:
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[1.0, 1.0, 0.5]] * 2 + [[2.0, 3.0, 0.4]] * 2, "at least 5 points"),
+            ([[1.0, d, 0.5] for d in (1.0, 2.0, 3.0, 4.0, 5.0)], "insufficient span"),
+        ],
+        ids=["few-points", "one-n"],
+    )
+    def test_joint_count_messages(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            fit_joint(np.array(points), ID_CFG)
+
     def joint_points(self, E=0.3, A=1.0, alpha=0.34, B=2.0, beta=0.28, sigma=0.0, seed=0):
         g = CurveGenerator(
             form="joint",

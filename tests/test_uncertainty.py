@@ -311,7 +311,9 @@ class TestCurveBand:
         ids=["power", "shifted", "joint"],
     )
     def test_band_is_per_fit_curves(self, points, fit_kind, grid):
-        bs_cfg = BootstrapConfig(resamples=40, seed=3, curve_grid=grid)
+        # 100 shifted fits are enough for numpy's vector 10**lambda to differ
+        # from Python's in some curve value
+        bs_cfg = BootstrapConfig(resamples=100, seed=3, curve_grid=grid)
         res = bootstrap_fit(points, fit_kind, SCALED_CFG, bs_cfg, warm_start=True)
         cfg = _warm_cfg(SCALED_CFG, res.point_estimate)
         with warnings.catch_warnings():
