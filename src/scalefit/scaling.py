@@ -642,17 +642,6 @@ def fit_joint(points, cfg: FitConfig = FitConfig()) -> JointFit:
     return _fit("joint", points, cfg, "flops")
 
 
-def _exp10(lam):
-    """10**lam by Python's float power, one value at a time for an array.
-
-    numpy's vector power can differ from it in the last bit, and a fit whose
-    parameters are columns of many fits must give each fit's own curve.
-    """
-    if np.ndim(lam):
-        return np.reshape([10.0**v for v in np.ravel(lam).tolist()], np.shape(lam))
-    return 10.0**lam
-
-
 def predict(fit, x=None, n=None, d=None):
     """Evaluate a fitted curve; returns (L, S) with S = 1 - L.
 
@@ -684,7 +673,11 @@ def predict(fit, x=None, n=None, d=None):
             raise ValueError("inputs must be positive")
         xs = x / fit.x_scale
         if isinstance(fit, ShiftedPowerLawFit):
-            L = fit.E + fit.A * (xs + _exp10(fit.lam)) ** (-fit.alpha)
+            # 10**lam by Python's float power, one value at a time: numpy's
+            # vector power can differ from it in the last bit, and a fit
+            # whose parameters are columns must give each fit's own curve.
+            shift = np.reshape([10.0**v for v in np.ravel(fit.lam).tolist()], np.shape(fit.lam))
+            L = fit.E + fit.A * (xs + shift) ** (-fit.alpha)
         elif isinstance(fit, PowerLawFit):
             L = fit.E + fit.A * xs ** (-fit.alpha)
         else:

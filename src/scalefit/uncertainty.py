@@ -113,7 +113,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     """
     form = _FORMS[fit_kind]
     data = form.data(points, cfg, x_kind)
-    resources = points.T[: len(form.resources)]
+    resources, _ = form.parse(points, x_kind)
     nodes = form.grid(cfg)
     starts = len(nodes)
     per_run = max(1, _RUN_ROWS // starts)
@@ -215,7 +215,7 @@ def bootstrap_fit(
 
     param_names = list(point_fit.params())
     grid = list(bs_cfg.curve_grid)
-    param_draws = [list(fit.params().values()) for fit in fits]
+    param_draws = [[fit.params()[k] for k in param_names] for fit in fits]
 
     lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
     hi_q = 100.0 - lo_q
