@@ -33,6 +33,7 @@ from .records import (
     SCORE_COLUMNS,
     RunRecord,
     _clamp_score,
+    _mean,
     _record_columns,
     export,
     filter_for_fit,
@@ -158,10 +159,10 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(rescale=Rescale(args.c_scale, args.n_scale, args.d_scale))
 
 
-def _target_misalignment(record, target: str) -> float:
+def _target_misalignment(table, target: str) -> list:
+    """Each run's misalignment L = 1 - S, S the mean of its scores in the target's regions."""
     regions = _TARGET_REGIONS[target]
-    s = sum(record.scores[r] for r in regions) / len(regions)
-    return 1.0 - s
+    return [1.0 - _mean([r.scores[region] for region in regions]) for r in table]
 
 
 def _load_points(args, form) -> np.ndarray:
@@ -170,10 +171,11 @@ def _load_points(args, form) -> np.ndarray:
         rows = _read_csv(args.points, form.columns)
         return np.asarray([[float(row[c]) for c in form.columns] for row in rows], dtype=float)
     fields = [RESOURCE_FIELDS[k] for k in form.kinds(args.x)]
+    table = _read_table(args)
     return np.array(
         [
-            [float(getattr(r, f)) for f in fields] + [_target_misalignment(r, args.target)]
-            for r in _read_table(args)
+            [float(getattr(r, f)) for f in fields] + [L]
+            for r, L in zip(table, _target_misalignment(table, args.target))
         ]
     )
 

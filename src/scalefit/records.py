@@ -136,6 +136,20 @@ def _clamp_score(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _mean(values) -> float:
+    """The mean of a sequence of floats: their correctly rounded sum (math.fsum), divided
+    once by their count. Builtin sum is compensated from Python 3.12 on, so a mean through
+    it can differ in its last digit between versions; this rule cannot."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        # The sum passes the largest float. Divided first by a power of two above the
+        # count it does not, and the division is exact but for subnormal values, so the
+        # rule is the same. The cap keeps the mean finite, as it is at most the largest value.
+        scale = 2.0 ** len(values).bit_length()
+        return min(math.fsum(v / scale for v in values) / len(values) * scale, max(values))
+
+
 def _trusted_record(fields) -> RunRecord:
     """A RunRecord of fields, a dict or (name, value) pairs, that already pass
     __post_init__'s checks, built without running them."""
@@ -310,23 +324,17 @@ def _average_seeds(table: RunTable) -> RunTable:
             out.append(grp[0])
             continue
         first = grp[0]
-        k = len(grp)
         vas = [g.val_accuracy for g in grp if g.val_accuracy is not None]
-        flops = sum(g.flops for g in grp) / k
-        if not math.isfinite(flops):
-            # The sum overflowed. A sum of quotients can still round past the
-            # largest float, which the mean, at most the largest value, is not.
-            flops = min(sum(g.flops / k for g in grp), max(g.flops for g in grp))
-        # Each mean, flops' included, meets the bounds its values meet, so the
-        # record needs no __post_init__ checks.
+        # Each mean meets the bounds its values meet, so the record needs no
+        # __post_init__ checks.
         out.append(_trusted_record({
             **first.__dict__,
             "run_id": first.run_id + "_seedavg",
             "seed": -1,
-            "samples_seen": round(sum(g.samples_seen for g in grp) / k),
-            "flops": flops,
-            "scores": {region: sum(g.scores[region] for g in grp) / k for region in first.scores},
-            "val_accuracy": sum(vas) / len(vas) if vas else None,
+            "samples_seen": round(sum(g.samples_seen for g in grp) / len(grp)),
+            "flops": _mean([g.flops for g in grp]),
+            "scores": {region: _mean([g.scores[region] for g in grp]) for region in first.scores},
+            "val_accuracy": _mean(vas) if vas else None,
         }))
     return RunTable(rows=tuple(out), provenance=table.provenance + "#seedavg")
 
@@ -373,7 +381,7 @@ def aggregate_score(scores: dict) -> AggregateScore:
     missing = [r for r in REGIONS if r not in scores]
     if missing:
         raise ValueError(f"missing region(s): {', '.join(missing)}")
-    S = sum(scores[r] for r in REGIONS) / len(REGIONS)
+    S = _mean([scores[r] for r in REGIONS])
     return AggregateScore(S=S, L=1.0 - S, regions_used=REGIONS)
 
 

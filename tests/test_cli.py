@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from scalefit.cli import _fit_from_payload, _fit_payload, main
+from scalefit.cli import _fit_from_payload, _fit_payload, _target_misalignment, main
+from scalefit.records import REGIONS, RunRecord, RunTable
 from scalefit.scaling import (
     FitConfig,
     Rescale,
@@ -252,6 +253,19 @@ class TestFit:
         payload = read_json(rep)
         assert payload["target"] == "it"
         assert payload["params"]["alpha"] == pytest.approx(0.2, rel=0.01)
+
+    @pytest.mark.parametrize("target, scores, L", [
+        ("mean", (0.71, 0.21, 0.83, 0.57, 0.28), 0.48),
+        ("brain", (0.58, 0.9, 0.68, 0.93, 0.5), 0.22750000000000004),
+        ("v4", (0.1, 0.2, 0.3, 0.4, 0.5), 0.7),
+    ])
+    def test_target_mean_is_fsum_then_one_division(self, target, scores, L):
+        # a left-to-right sum of the mean and brain scores gives another last digit
+        run_ = RunRecord(
+            run_id="r", family="ResNet", arch="r18", dataset="eco", samples_per_class="full",
+            seed=0, n_params=1000, samples_seen=1000, flops=1e9, scores=dict(zip(REGIONS, scores)),
+        )
+        assert _target_misalignment(RunTable(rows=(run_,)), target) == [L]
 
     def test_joint_fit_at_default_rescale_reaches_unscaled_optimum(self, joint_reports):
         # At the default rescale (N / 1e5, D / 1e4) the truth's log A is about -3.9.

@@ -1,6 +1,8 @@
 import csv
+import functools
 import io
 import json
+import operator
 import sys
 import warnings
 from dataclasses import replace
@@ -267,6 +269,41 @@ class TestIngest:
         out = tmp_path / "avg.csv"
         export(table, out)
         assert ingest(out).rows == table.rows
+
+
+# Score tuples whose mean through a left-to-right float sum differs in the last
+# digit from the pinned mean: their correctly rounded sum, divided once.
+MEAN_CASES = [
+    ((0.1, 0.2, 0.3), 0.19999999999999998),
+    ((0.18, 0.58, 0.86), 0.5399999999999999),
+    ((0.22, 0.42, 0.03), 0.2233333333333333),
+    ((0.71, 0.21, 0.83, 0.57, 0.28), 0.52),
+    ((0.04, 0.61, 0.04, 0.72, 0.33), 0.348),
+]
+
+
+class TestMeanRule:
+    """Every mean of run-table values is math.fsum, then one division, so it has the
+    same bytes on every Python version; builtin sum is compensated from 3.12 on."""
+
+    @pytest.mark.parametrize("values, mean", MEAN_CASES)
+    def test_left_fold_differs(self, values, mean):
+        assert functools.reduce(operator.add, values) / len(values) != mean
+
+    @pytest.mark.parametrize("values, mean", MEAN_CASES)
+    def test_average_seeds(self, tmp_path, values, mean):
+        rows = [
+            line(run_id=f"r{s}", seed=str(s), score_it=repr(v), flops=repr(v)) + f",{v!r}"
+            for s, v in enumerate(values)
+        ]
+        path = write_csv(tmp_path, [HEADER + ",val_accuracy", *rows])
+        (rec,) = ingest(path, average_seeds=True).rows
+        assert (rec.scores["IT"], rec.flops, rec.val_accuracy) == (mean, mean, mean)
+
+    @pytest.mark.parametrize("values, mean", [c for c in MEAN_CASES if len(c[0]) == 5])
+    def test_aggregate_score(self, values, mean):
+        s = aggregate_score(dict(zip(("V1", "V2", "V4", "IT", "behavior"), values)))
+        assert (s.S, s.L) == (mean, 1.0 - mean)
 
 
 class TestRoundTrip:
