@@ -65,6 +65,8 @@ COMMANDS = [
     ["ingest", "--input", "avg.json", "--format", "json", "--filter", "convnext_vit_restricted",
      "--output", "filtered.csv"],
     ["ingest", "--input", "table.csv", "--filter", "none", "--output", "table_echo.csv"],
+    # seed groups of one to three runs whose val_accuracy is filled, empty or mixed
+    ["ingest", "--input", "seeds.csv", "--average-seeds", "--output", "seeds_avg.csv"],
     # ingest: quoting, non-ASCII, a blank line, an extra column, a clamped score;
     # CSV -> JSON -> CSV, and a JSON table of numbers and nulls
     ["ingest", "--input", "edge.csv", "--output", "edge.json", "--output-format", "json"],
@@ -91,6 +93,8 @@ COMMANDS = [
      "--output", "fit_runs_shifted.json"],
     ["fit", "--form", "power", "--x", "flops", "--input", "avg.json", "--format", "json",
      "--target", "brain", "--output", "fit_table.json"],
+    ["fit", "--form", "power", "--x", "params", "--input", "seeds.json", "--format", "json",
+     "--average-seeds", "--filter", "convnext_vit_restricted", "--output", "fit_seeds.json"],
     # bootstrap: cold and warm, every form, SVG with a band
     ["bootstrap", "--form", "power", "--x", "flops", "--points", "power.csv", "--no-rescale",
      "--resamples", "20", "--seed", "5", "--curve-points", "10", "--output", "boot_cold.json"],
@@ -113,6 +117,8 @@ COMMANDS = [
      "--budget", "1e20", "--verify", "--grid-points", "2001", "--output", "alloc_runs.json"],
     ["allocate", "--fit-report", "fit_joint_rescaled.json", "--compute-model", "cm.json",
      "--budget", "6e9", "--verify", "--output", "alloc_cm_rescaled.json"],
+    ["allocate", "--fit-report", "fit_joint.json", "--input", "seeds.json", "--format", "json",
+     "--budget", "1e12", "--output", "alloc_seeds.json"],
     # score: neural merged into a run table, ridge, rank-deficient, behavioral at two sizes
     ["score", "--kind", "neural", "--activations", "acts.csv", "--recordings", "recs.csv",
      "--region", "V4", "--ceiling", "0.9", "--output", "score_v4.json",
@@ -199,6 +205,30 @@ NUMERIC_ROWS = [
      "score_v2": 0, "score_v4": 0.3, "score_it": 0.4, "score_behavior": 0.5,
      "val_accuracy": 0.75, "notes": None},
 ]
+
+
+def seed_rows() -> list:
+    """Run-table rows, as dicts of cell texts, of nine configs run with one to three seeds.
+
+    A config's val_accuracy cells are all filled, all empty or mixed, for a single
+    run too; one config's samples_seen mean is a whole number and another's ends in .5.
+    """
+    rows = []
+    for c in range(9):
+        n = 1000 * 2**c
+        for s in range((2, 3, 1)[c % 3]):
+            d = 20000 + (s if c in (3, 4) else 0)
+            rows.append({
+                "run_id": f"s{c}_{s}", "family": ("ViT", "ResNet", "ConvNeXt")[c % 3],
+                "arch": f"a{c}", "dataset": "eco", "samples_per_class": ("10", "300", "full")[c // 3],
+                "seed": str(s), "n_params": str(n), "samples_seen": str(d), "flops": repr(6.0 * n * d),
+                **{col: repr(0.05 + ((7 * c + 3 * s + j) % 17) / 19)
+                   for j, col in enumerate(TABLE_HEADER.split(",")[9:14])},
+                "val_accuracy": repr(0.5 + s / 7) if (c + s) % 4 < 2 else "",
+            })
+    return rows
+
+
 BAD_ROWS = [  # a bad int, an out-of-range score, a missing cell, a bad float
     TABLE_ROWS[0].replace(",0,1000,", ",zero,1000,"),
     TABLE_ROWS[1].replace(",0.52,", ",1.2,"),
@@ -235,7 +265,13 @@ def write_inputs():
     ]:
         with open(name, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
+    seeds = seed_rows()
+    with open("seeds.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=TABLE_HEADER.split(","))
+        writer.writeheader()
+        writer.writerows(seeds)
     for name, payload in [
+        ("seeds.json", [{k: v or None for k, v in row.items()} for row in seeds]),
         ("cm.json", {"m": 6.0, "n": 1.0, "r2": 1.0, "spec_version": "1.0"}),
         ("cm_no_n.json", {"m": 6.0, "spec_version": "1.0"}),
         ("list.json", [1]),
