@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import sys
 import warnings
@@ -606,3 +607,101 @@ class TestFilter:
         ids = {r.run_id for r in table.rows}
         assert {r.run_id for r in once.rows} <= ids
         assert twice.rows == once.rows
+
+
+def reference_average(recs) -> list:
+    """Seed averaging of records, one group at a time: rows equal in family, arch,
+    dataset, samples_per_class and n_params become one row, the first's with
+    "_seedavg" on its run_id, seed -1, samples_seen's rounded mean and the mean
+    (math.fsum, then one division) of flops, each score and the given val_accuracy."""
+    groups = {}
+    for r in recs:
+        key = (r.family, r.arch, r.dataset, r.samples_per_class, r.n_params)
+        groups.setdefault(key, []).append(r)
+    out = []
+    for grp in groups.values():
+        first, k = grp[0], len(grp)
+        if k == 1:
+            out.append(first)
+            continue
+        vas = [g.val_accuracy for g in grp if g.val_accuracy is not None]
+        out.append(replace(
+            first,
+            run_id=first.run_id + "_seedavg",
+            seed=-1,
+            samples_seen=round(sum(g.samples_seen for g in grp) / k),
+            flops=math.fsum(g.flops for g in grp) / k,
+            scores={region: math.fsum(g.scores[region] for g in grp) / k for region in first.scores},
+            val_accuracy=math.fsum(vas) / len(vas) if vas else None,
+        ))
+    return out
+
+
+REFERENCE_FILTERS = {
+    "none": lambda r: True,
+    "convnext_vit_restricted": lambda r: (
+        r.family.lower() not in ("convnext", "vit") or r.samples_per_class in (300, "full")
+    ),
+}
+
+
+def reference_exports(recs) -> dict:
+    """The bytes export writes for records, by format, from json.dump and csv.DictWriter."""
+    as_json = io.StringIO()
+    json.dump([row_of(r) for r in recs], as_json, indent=2, sort_keys=True)
+    as_csv = io.StringIO(newline="")
+    writer = csv.DictWriter(as_csv, fieldnames=CSV_COLUMNS + OPTIONAL_COLUMNS)
+    writer.writeheader()
+    writer.writerows(row_of(r) for r in recs)
+    return {"json": (as_json.getvalue() + "\n").encode(), "csv": as_csv.getvalue().encode()}
+
+
+class TestTablePipeline:
+    """ingest, seed averaging, filter_for_fit and export agree with a row-by-row reference."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(["csv", "json"]),
+        average=st.booleans(),
+        rule=st.sampled_from([None, *REFERENCE_FILTERS]),
+    )
+    def test_random_tables_match_row_reference(self, tmp_path, data, fmt, average, rule):
+        unit = st.floats(0.0, 1.0)
+        run = st.fixed_dictionaries({
+            "family": st.sampled_from(["ViT", "vit", "ConvNeXt", "ResNet"]),
+            "arch": st.sampled_from(["a", "b"]),
+            "dataset": st.just("eco"),
+            "samples_per_class": st.sampled_from([1, 10, 300, "full"]),
+            "seed": st.integers(-2, 5),
+            "n_params": st.sampled_from([1000, 2000]),
+            "samples_seen": st.integers(1, 10**6),
+            "flops": st.floats(1e-3, 1e20),
+            "scores": st.tuples(*[unit] * len(SCORE_COLUMNS)).map(
+                lambda values: dict(zip(SCORE_COLUMNS, values))),
+            "val_accuracy": st.one_of(st.none(), unit),
+        })
+        runs = data.draw(st.lists(run, max_size=12))
+        want = [RunRecord(run_id=f"r{i}", **fields) for i, fields in enumerate(runs)]
+        if average:
+            want = reference_average(want)
+        if rule:
+            want = [r for r in want if REFERENCE_FILTERS[rule](r)]
+        source = tmp_path / f"runs.{fmt}"
+        export(RunTable(rows=tuple(RunRecord(run_id=f"r{i}", **f) for i, f in enumerate(runs))),
+               source, format=fmt)
+        table = ingest(source, format=fmt, average_seeds=average)
+        if rule:
+            table = filter_for_fit(table, rule)
+        assert len(table) == len(want)
+        assert list(map(repr, table.rows)) == list(map(repr, want))
+        for out_fmt, expected in reference_exports(want).items():
+            out = tmp_path / f"out.{out_fmt}"
+            export(table, out, format=out_fmt)
+            assert out.read_bytes() == expected
+
+    def test_averaged_run_id_taken_by_another_row(self, tmp_path):
+        rows = [line(), line(run_id="r2", seed="1"), line(run_id="r1_seedavg", n_params="7")]
+        with pytest.raises(ValueError, match=r"^duplicate run_id values: \['r1_seedavg'\]$"):
+            ingest(write_csv(tmp_path, [HEADER, *rows]), average_seeds=True)
