@@ -180,6 +180,18 @@ def _clean_L(L: np.ndarray) -> np.ndarray:
 # a bootstrap resample.
 
 
+def _check_values(resources: dict, L):
+    """A ValueError naming the first resource value that is not positive, NaN
+    included, or else the first L that is not finite."""
+    for name, values in resources.items():
+        bad = values[~(values > 0)]
+        if bad.size:
+            raise ValueError(f"{name} values must be positive, got {float(bad[0])}")
+    bad = L[~np.isfinite(L)]
+    if bad.size:
+        raise ValueError(f"L values must be finite, got {float(bad[0])}")
+
+
 def _xl_columns(points, x_kind):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -187,8 +199,7 @@ def _xl_columns(points, x_kind):
     X, L = pts[:, 0], pts[:, 1]
     if x_kind not in X_KINDS:
         raise ValueError(f"unknown x_kind {x_kind!r}")
-    if np.any(X <= 0):
-        raise ValueError("X values must be positive")
+    _check_values({"X": X}, L)
     return (X,), L
 
 
@@ -197,8 +208,7 @@ def _nd_columns(points, x_kind):
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3) of (N, D, L)")
     N, D, L = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.any(N <= 0) or np.any(D <= 0):
-        raise ValueError("N and D values must be positive")
+    _check_values({"N": N, "D": D}, L)
     return (N, D), L
 
 

@@ -213,6 +213,21 @@ class TestFit:
         ) == 1
         assert "bad.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, message", [
+        ("x", "X values must be positive, got nan"),
+        ("l", "L values must be finite, got nan"),
+    ])
+    def test_nan_point_named(self, tmp_path, capsys, cell, message):
+        rows = [{"x": repr(10.0**k), "l": repr(0.3 + 0.5 * 10.0**(-0.2 * k))} for k in range(5)]
+        rows[2][cell] = "nan"
+        pts = tmp_path / "nan.csv"
+        pts.write_text("x,l\n" + "".join(f"{r['x']},{r['l']}\n" for r in rows))
+        assert run(
+            "fit", "--form", "power", "--x", "flops", "--points", str(pts),
+            "--output", str(tmp_path / "f.json"),
+        ) == 1
+        assert capsys.readouterr().err.strip().endswith(f"error: {message}")
+
     def test_missing_input_file_is_runtime_error(self, tmp_path):
         assert run(
             "fit", "--form", "power", "--x", "flops",

@@ -70,6 +70,22 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="distinct X"):
             fit_power_law(pts, ID_CFG)
 
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_shifted_power_law])
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, np.nan, "X values must be positive, got nan"),
+            (0, -2.0, "X values must be positive, got -2.0"),
+            (1, np.nan, "L values must be finite, got nan"),
+            (1, np.inf, "L values must be finite, got inf"),
+        ],
+    )
+    def test_bad_value_named(self, fit, column, value, message):
+        pts = power_points(0.3, 0.5, 0.2, n=8)
+        pts[3, column] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(pts, ID_CFG)
+
     def test_count_rules_on_many_datasets_match_unique(self):
         # the rules as each fit used to check them, with np.unique per dataset
         rng = np.random.default_rng(0)
@@ -181,6 +197,20 @@ class TestFitJoint:
     def test_joint_count_messages(self, points, message):
         with pytest.raises(ValueError, match=message):
             fit_joint(np.array(points), ID_CFG)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, np.nan, "N values must be positive, got nan"),
+            (1, 0.0, "D values must be positive, got 0.0"),
+            (2, -np.inf, "L values must be finite, got -inf"),
+        ],
+    )
+    def test_bad_value_named(self, column, value, message):
+        pts = self.joint_points()
+        pts[7, column] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_joint(pts, ID_CFG)
 
     def joint_points(self, E=0.3, A=1.0, alpha=0.34, B=2.0, beta=0.28, sigma=0.0, seed=0):
         g = CurveGenerator(
