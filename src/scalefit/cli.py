@@ -32,9 +32,10 @@ from .records import (
     RESOURCE_FIELDS,
     SCORE_COLUMNS,
     RunRecord,
+    RunTable,
     _clamp_score,
     _mean,
-    _record_columns,
+    _text_columns,
     export,
     filter_for_fit,
     ingest,
@@ -161,8 +162,8 @@ def _fit_config(args) -> FitConfig:
 
 def _target_misalignment(table, target: str) -> list:
     """Each run's misalignment L = 1 - S, S the mean of its scores in the target's regions."""
-    regions = _TARGET_REGIONS[target]
-    return [1.0 - _mean([r.scores[region] for region in regions]) for r in table]
+    scores = zip(*(table.columns[SCORE_COLUMNS[region]] for region in _TARGET_REGIONS[target]))
+    return [1.0 - _mean(s) for s in scores]
 
 
 def _load_points(args, form) -> np.ndarray:
@@ -170,14 +171,9 @@ def _load_points(args, form) -> np.ndarray:
     if args.points:
         rows = _read_csv(args.points, form.columns)
         return np.asarray([[float(row[c]) for c in form.columns] for row in rows], dtype=float)
-    fields = [RESOURCE_FIELDS[k] for k in form.kinds(args.x)]
     table = _read_table(args)
-    return np.array(
-        [
-            [float(getattr(r, f)) for f in fields] + [L]
-            for r, L in zip(table, _target_misalignment(table, args.target))
-        ]
-    )
+    resources = [map(float, table.columns[RESOURCE_FIELDS[k]]) for k in form.kinds(args.x)]
+    return np.array(list(zip(*resources, _target_misalignment(table, args.target))))
 
 
 def _read_table(args):
@@ -330,7 +326,8 @@ def cmd_allocate(args) -> int:
         )
     else:
         table = ingest(args.input, format=args.format)
-        cm = fit_compute_model((r.n_params, r.samples_seen, r.flops) for r in table)
+        triples = zip(*(table.columns[c] for c in ("n_params", "samples_seen", "flops")))
+        cm = fit_compute_model(triples)
 
     result = optimal_allocation(fit, cm, args.budget)
     coef = allocation_coefficients(fit)
@@ -559,7 +556,7 @@ def _runs_from_points(args, pts: np.ndarray) -> list:
             samples_per_class="full", seed=args.seed, n_params=max(n_params, 1),
             samples_seen=max(samples, 1), flops=flops, scores=dict.fromkeys(REGIONS, s),
         ))
-    columns = _record_columns(recs)
+    columns = _text_columns(RunTable(recs))
     return list(zip(*(columns[c] for c in CSV_COLUMNS)))
 
 

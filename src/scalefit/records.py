@@ -8,7 +8,7 @@ import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
@@ -104,22 +104,57 @@ class RunRecord:
                 raise ValueError(f"run {self.run_id}: {message.format(value)}")
 
 
-@dataclass(frozen=True)
 class RunTable:
-    rows: tuple
-    provenance: str = ""
+    """A run table held as checked columns, its RunRecords built only when asked for.
 
-    def __post_init__(self):
-        ids = [r.run_id for r in self.rows]
+    `columns` maps each column of _COLUMNS to a tuple of its values, one per
+    run, as the RunRecord fields hold them: a score column holds its region's
+    scores, and an absent val_accuracy is None. `rows` builds the records on
+    first use. A table built from records holds their columns.
+    """
+
+    def __init__(self, rows=(), provenance: str = ""):
+        rows = tuple(rows)
+        self._hold(_record_columns(rows), provenance)
+        self._rows = rows
+
+    @classmethod
+    def _of_columns(cls, columns: dict, provenance: str) -> RunTable:
+        """The table of checked columns, by name, each an iterable of values."""
+        table = cls.__new__(cls)
+        table._hold(columns, provenance)
+        return table
+
+    def _hold(self, columns: dict, provenance: str) -> None:
+        self.columns = {c: tuple(columns[c]) for c in _COLUMNS}
+        self.provenance = provenance
+        self._rows = None
+        ids = self.columns["run_id"]
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate run_id values: {dupes}")
 
+    @property
+    def rows(self) -> tuple:
+        """The table's RunRecords, in column order."""
+        if self._rows is None:
+            columns = self.columns
+            scores = zip(*(columns[c] for c in SCORE_COLUMNS.values()))
+            by_region = map(dict, map(zip, repeat(REGIONS), scores))
+            fields = zip(*(columns[c] for c, _, _ in _FIELD_COLUMNS), by_region)
+            self._rows = tuple(_trusted_record(zip(_RECORD_FIELDS, row)) for row in fields)
+        return self._rows
+
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns["run_id"])
 
     def __iter__(self):
         return iter(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunTable):
+            return NotImplemented
+        return (self.columns, self.provenance) == (other.columns, other.provenance)
 
 
 @dataclass(frozen=True)
@@ -182,7 +217,8 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
         columns, not_objects = _read_json_columns(path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    table = RunTable(tuple(_records(columns, not_objects)), f"{path}#v{FORMAT_VERSION}")
+    checked = _checked_columns(columns, not_objects)
+    table = RunTable._of_columns(checked, f"{path}#v{FORMAT_VERSION}")
     if average_seeds:
         table = _average_seeds(table)
     return table
@@ -231,8 +267,9 @@ def _read_json_columns(path):
     return columns, not_objects
 
 
-def _records(columns, not_objects) -> list:
-    """The records of a table's columns, in _COLUMNS order, checked as ingest describes.
+def _checked_columns(columns, not_objects) -> dict:
+    """The parsed values of a table's cells, given as columns in _COLUMNS order, by
+    column name, checked as ingest describes.
 
     `faults` maps a row's index to its first fault. Each check runs over whole
     columns, in order, and words a fault only for a row that has none yet.
@@ -273,9 +310,7 @@ def _records(columns, not_objects) -> list:
         warnings.warn(f"score {s} clamped into [0, 1]", stacklevel=3)
     if faults:
         raise IngestError(f"row {i + 1}: {faults[i]}" for i in sorted(faults))
-    by_region = map(dict, map(zip, repeat(REGIONS), zip(*scores)))
-    fields = zip(*(values[c] for c, _, _ in _FIELD_COLUMNS), by_region)
-    return [_trusted_record(zip(_RECORD_FIELDS, row)) for row in fields]
+    return {**values, **dict(zip(SCORE_COLUMNS.values(), scores))}
 
 
 def _parse_column(cells, parse, faults) -> list:
@@ -313,40 +348,63 @@ def _failing(column, test, faults) -> list:
     return [i for i, value in enumerate(column) if i not in faults and not test(value)]
 
 
+def _mean_of_given(values):
+    """The mean of the values that are not None, or None if every value is."""
+    given = [v for v in values if v is not None]
+    return _mean(given) if given else None
+
+
+# The fields that name a config: seed averaging merges the rows equal in all of them.
+_SEED_GROUP = ("family", "arch", "dataset", "samples_per_class", "n_params")
+# How seed averaging reduces a column over a group of rows; a column not named
+# takes the group's first value. Each mean meets the bounds its values meet, so
+# the averaged table's rows need no __post_init__ checks.
+_SEED_AVERAGES = {
+    "run_id": lambda ids: ids[0] + "_seedavg",
+    "seed": lambda seeds: -1,
+    "samples_seen": lambda counts: round(sum(counts) / len(counts)),
+    "flops": _mean,
+    **dict.fromkeys(SCORE_COLUMNS.values(), _mean),
+    "val_accuracy": _mean_of_given,
+}
+
+
 def _average_seeds(table: RunTable) -> RunTable:
-    """Collapse seed repeats: rows identical up to seed are score-averaged."""
-    groups: dict[tuple, list[RunRecord]] = {}
-    for r in table.rows:
-        groups.setdefault((r.family, r.arch, r.dataset, r.samples_per_class, r.n_params), []).append(r)
-    out = []
-    for grp in groups.values():
-        if len(grp) == 1:
-            out.append(grp[0])
-            continue
-        first = grp[0]
-        vas = [g.val_accuracy for g in grp if g.val_accuracy is not None]
-        # Each mean meets the bounds its values meet, so the record needs no
-        # __post_init__ checks.
-        out.append(_trusted_record({
-            **first.__dict__,
-            "run_id": first.run_id + "_seedavg",
-            "seed": -1,
-            "samples_seen": round(sum(g.samples_seen for g in grp) / len(grp)),
-            "flops": _mean([g.flops for g in grp]),
-            "scores": {region: _mean([g.scores[region] for g in grp]) for region in first.scores},
-            "val_accuracy": _mean(vas) if vas else None,
-        }))
-    return RunTable(rows=tuple(out), provenance=table.provenance + "#seedavg")
+    """Collapse seed repeats: rows identical up to seed become one averaged row."""
+    columns = table.columns
+    groups: dict[tuple, list] = {}
+    for i, key in enumerate(zip(*(columns[c] for c in _SEED_GROUP))):
+        groups.setdefault(key, []).append(i)
+    firsts = [group[0] for group in groups.values()]
+    repeats = [(j, itemgetter(*group)) for j, group in enumerate(groups.values()) if len(group) > 1]
+    averaged = {}
+    for c, values in columns.items():
+        averaged[c] = column = list(map(values.__getitem__, firsts))
+        reduce = _SEED_AVERAGES.get(c)
+        if reduce is not None:
+            for j, take in repeats:
+                column[j] = reduce(take(values))
+    return RunTable._of_columns(averaged, table.provenance + "#seedavg")
 
 
 def _record_columns(recs) -> dict:
-    """Each run-table column of `recs`, by name: every value through str, an absent one None."""
+    """The columns of RunRecords, by name; a record without a score for every region
+    is a ValueError."""
+    for r in recs:
+        missing = [region for region in REGIONS if region not in r.scores]
+        if missing:
+            raise ValueError(f"run {r.run_id}: no score for region(s) {', '.join(missing)}")
     names = [c for c, _, _ in _FIELD_COLUMNS]
     fields = list(zip(*map(attrgetter(*names), recs))) or [()] * len(names)
     scores = list(zip(*map(itemgetter(*REGIONS), map(attrgetter("scores"), recs))))
     columns = dict(zip(names, fields))
     columns.update(zip(SCORE_COLUMNS.values(), scores or [()] * len(REGIONS)))
-    return {col: _convert(values, str, None) for col, values in columns.items()}
+    return columns
+
+
+def _text_columns(table: RunTable) -> dict:
+    """Each column of `table`, by name: every value through str, an absent one None."""
+    return {c: _convert(values, str, None) for c, values in table.columns.items()}
 
 
 # One exported JSON row in json.dump's indent=2, sort_keys=True layout, with a %s per value.
@@ -363,7 +421,7 @@ def export(table: RunTable, path, format: str = "csv") -> None:
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    columns = _record_columns(table.rows)
+    columns = _text_columns(table)
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -389,14 +447,17 @@ def aggregate_score(scores: dict) -> AggregateScore:
 _RESTRICTED_FAMILIES = {"convnext", "vit"}
 
 
-def _rule_convnext_vit_restricted(rec: RunRecord) -> bool:
-    if rec.family.lower() in _RESTRICTED_FAMILIES:
-        return rec.samples_per_class in (300, "full")
-    return True
+def _rule_convnext_vit_restricted(columns) -> list:
+    """Whether each run is kept: ConvNeXt and ViT runs only at 300 per class or the full set."""
+    return [
+        family.lower() not in _RESTRICTED_FAMILIES or spc in (300, "full")
+        for family, spc in zip(columns["family"], columns["samples_per_class"])
+    ]
 
 
+# Each rule takes a table's columns and says, per run, whether the run is kept.
 FILTER_RULES = {
-    "none": lambda rec: True,
+    "none": lambda columns: [True] * len(columns["run_id"]),
     "convnext_vit_restricted": _rule_convnext_vit_restricted,
 }
 
@@ -405,8 +466,6 @@ def filter_for_fit(table: RunTable, rule: str = "none") -> RunTable:
     """Keep only rows passing the named rule."""
     if rule not in FILTER_RULES:
         raise ValueError(f"unknown filter rule {rule!r}; known: {sorted(FILTER_RULES)}")
-    pred = FILTER_RULES[rule]
-    return RunTable(
-        rows=tuple(r for r in table.rows if pred(r)),
-        provenance=table.provenance,
-    )
+    keep = FILTER_RULES[rule](table.columns)
+    kept = {c: compress(values, keep) for c, values in table.columns.items()}
+    return RunTable._of_columns(kept, table.provenance)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from scalefit.cli import _fit_from_payload, _fit_payload, _target_misalignment, main
-from scalefit.records import REGIONS, RunRecord, RunTable
+from scalefit import records
+from scalefit.records import CSV_COLUMNS, OPTIONAL_COLUMNS, REGIONS, RunRecord, RunTable, ingest
 from scalefit.scaling import (
     FitConfig,
     Rescale,
@@ -737,6 +738,40 @@ class TestIngestCommand:
         with open(out) as fh:
             kept = [r["run_id"] for r in csv.DictReader(fh)]
         assert kept == ["b"]
+
+    def test_table_commands_build_no_records(self, tmp_path, monkeypatch, joint_reports):
+        # ingest, averaging, filtering, export, allocate --input and fit --input
+        # read the run table's columns; its RunRecords are built only when asked for
+        header = ",".join(CSV_COLUMNS + OPTIONAL_COLUMNS)
+        rows = [
+            f"r{c}s{s},{('ViT', 'ResNet', 'ConvNeXt')[c % 3]},a{c},eco,{(10, 300, 'full')[c % 3]},"
+            f"{s},{1000 * 3**c},{20000 * 2**c},{6.0 * 1000 * 3**c * 20000 * 2**c!r},"
+            + ",".join(repr(0.2 + 0.05 * c + 0.01 * s + 0.003 * j) for j in range(5))
+            + ("," if s else ",0.5")
+            for c in range(8)
+            for s in range(2)
+        ]
+        src = tmp_path / "runs.csv"
+        src.write_text("\n".join([header, *rows]) + "\n")
+        avg, filtered = tmp_path / "avg.json", tmp_path / "filtered.csv"
+        commands = [
+            ["ingest", "--input", src, "--average-seeds", "--output", avg, "--output-format", "json"],
+            ["ingest", "--input", avg, "--format", "json", "--filter", "convnext_vit_restricted",
+             "--output", filtered],
+            ["allocate", "--fit-report", joint_reports["raw"], "--input", src, "--budget", "1e12",
+             "--output", tmp_path / "alloc.json"],
+            ["fit", "--form", "joint", "--x", "flops", "--input", src, "--average-seeds",
+             "--filter", "convnext_vit_restricted", "--output", tmp_path / "fit.json"],
+        ]
+
+        def no_record(fields):
+            raise AssertionError("a RunRecord was built")
+
+        monkeypatch.setattr(records, "_trusted_record", no_record)
+        assert [run(*map(str, argv)) for argv in commands] == [0, 0, 0, 0]
+        monkeypatch.undo()
+        kept = [r.run_id for r in ingest(filtered).rows]
+        assert kept == [f"r{c}s0_seedavg" for c in (1, 2, 4, 5, 7)]
 
     def test_bad_row_exit_code(self, tmp_path):
         src = tmp_path / "in.csv"
