@@ -136,7 +136,7 @@ class RunTable:
 
     @property
     def rows(self) -> tuple:
-        """The table's RunRecords, in column order."""
+        """The table's RunRecords, one per run in table order."""
         if self._rows is None:
             columns = self.columns
             scores = zip(*(columns[c] for c in SCORE_COLUMNS.values()))

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from scalefit.cli import _fit_from_payload, _fit_payload, _target_misalignment, main
 from scalefit import records
+from scalefit.cli import _fit_from_payload, _fit_payload, _target_misalignment, main
 from scalefit.records import CSV_COLUMNS, OPTIONAL_COLUMNS, REGIONS, RunRecord, RunTable, ingest
 from scalefit.scaling import (
     FitConfig,
