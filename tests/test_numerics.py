@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalefit import scaling
 from scalefit.numerics import (
     HuberParams,
     OptimizerConfig,
@@ -15,7 +16,8 @@ from scalefit.numerics import (
     loglog_linreg,
     minimize,
 )
-from scalefit.numerics import _bfgs_rows, _huber_parts, _logaddexp
+from scalefit.numerics import _CURVATURE_RTOL, _bfgs_rows, _huber_parts, _logaddexp
+from scalefit.scaling import FitConfig, Rescale
 
 HP = HuberParams(1e-3)
 
@@ -246,28 +248,40 @@ class TestMinimize:
             OptimizerConfig(backtrack=1.0)
 
 
+def rosenbrock_rows(a, w, x0=None, island=None, flip=None):
+    """Row-aware objective fg(P, rows, need_grad) of per-row Rosenbrock valleys.
+
+    Row r's objective is w[r] ((a[r] - x)^2 + 100 (y - x^2)^2); w = inf makes
+    it non-finite everywhere. A row marked in `island` is finite only at its
+    start x0[r], so every trial step away from it fails; a row marked in
+    `flip` reports its gradient with the wrong sign.
+    """
+
+    def fg(P, rows, need_grad):
+        x, y = P[:, 0], P[:, 1]
+        with np.errstate(all="ignore"):
+            v = w[rows] * ((a[rows] - x) ** 2 + 100 * (y - x**2) ** 2)
+            if island is not None:
+                v = np.where(~island[rows] | np.all(P == x0[rows], axis=1), v, np.nan)
+            if not need_grad:
+                return v
+            g = w[rows, None] * np.stack(
+                [-2 * (a[rows] - x) - 400 * x * (y - x**2), 200 * (y - x**2)], axis=1
+            )
+            if flip is not None:
+                g = np.where(flip[rows, None], -g, g)
+        return v, g
+
+    return fg
+
+
 class TestBfgsRows:
-    # Per-row Rosenbrock valleys (a - x)^2 + 100 (y - x^2)^2, scaled by w;
-    # w = inf makes a row's objective non-finite everywhere.
     A = np.array([1.0, 2.0, -0.5])
     W = np.array([1.0, np.inf, 3.0])
     X0 = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0]])
 
     def fg_for(self, keep):
-        a, w = self.A[keep], self.W[keep]
-
-        def fg(P, rows, need_grad):
-            x, y = P[:, 0], P[:, 1]
-            with np.errstate(invalid="ignore"):
-                v = w[rows] * ((a[rows] - x) ** 2 + 100 * (y - x**2) ** 2)
-                if not need_grad:
-                    return v
-                g = w[rows, None] * np.stack(
-                    [-2 * (a[rows] - x) - 400 * x * (y - x**2), 200 * (y - x**2)], axis=1
-                )
-            return v, g
-
-        return fg
+        return rosenbrock_rows(self.A[keep], self.W[keep])
 
     def test_nonfinite_start_fails_only_its_row(self):
         cfg = OptimizerConfig(max_iters=2000)
@@ -280,6 +294,219 @@ class TestBfgsRows:
             assert np.array_equal(got[[0, 2]], want)
         assert conv[[0, 2]].all()
         assert np.allclose(X[[0, 2]], [[1.0, 1.0], [-0.5, 0.25]], atol=1e-6)
+
+
+def reference_bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
+    """`numerics._bfgs_rows` with one objective call per backtracking trial.
+
+    A verbatim copy of the BFGS core in its one-trial-at-a-time form, kept as
+    the reference that any rework of its line search must match bit for bit.
+    """
+    X = np.array(x0, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("x0 must have shape (K, d)")
+    K, d = X.shape
+    f, g = fg(X, np.arange(K), True)
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    started = np.isfinite(f)
+
+    eye = np.eye(d)
+    H = np.repeat(eye[None, :, :], K, axis=0)
+    iters = np.zeros(K, dtype=int)
+    gnorm = np.max(np.abs(g), axis=1) if d else np.zeros(K)
+    converged = started & (gnorm <= cfg.grad_tol)
+    active = started & ~converged
+
+    for _ in range(cfg.max_iters):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        Xi, fi, gi = X[idx], f[idx], g[idx]
+
+        p = -np.einsum("kij,kj->ki", H[idx], gi)
+        slope = np.sum(p * gi, axis=1)
+        bad = slope >= 0  # not a descent direction; reset to steepest descent
+        if np.any(bad):
+            p[bad] = -gi[bad]
+            slope[bad] = -np.sum(gi[bad] ** 2, axis=1)
+            H[idx[bad]] = eye
+
+        # Armijo backtracking line search, per row.
+        t = np.ones(idx.size)
+        Xnew = Xi.copy()
+        fnew = fi.copy()
+        accepted = np.zeros(idx.size, dtype=bool)
+        searching = np.ones(idx.size, dtype=bool)
+        for _bt in range(60):
+            sj = np.flatnonzero(searching)
+            if sj.size == 0:
+                break
+            cand = Xi[sj] + t[sj, None] * p[sj]
+            fc = np.asarray(fg(cand, idx[sj], False), dtype=float)
+            ok = np.isfinite(fc) & (fc <= fi[sj] + cfg.armijo_c * t[sj] * slope[sj])
+            hit = sj[ok]
+            Xnew[hit] = cand[ok]
+            fnew[hit] = fc[ok]
+            accepted[hit] = True
+            searching[hit] = False
+            t[sj[~ok]] *= cfg.backtrack
+
+        aj = np.flatnonzero(accepted)
+        if aj.size:
+            rows = idx[aj]
+            _, gnew = fg(Xnew[aj], rows, True)
+            gnew = np.asarray(gnew, dtype=float)
+            s = Xnew[aj] - Xi[aj]
+            y = gnew - gi[aj]
+            sy = np.sum(s * y, axis=1)
+            s_norm = np.sqrt(np.sum(s * s, axis=1))
+            y_norm = np.sqrt(np.sum(y * y, axis=1))
+            upd = sy > _CURVATURE_RTOL * s_norm * y_norm
+            if np.any(upd):
+                Hu = H[rows[upd]]
+                su, yu = s[upd], y[upd]
+                # A tiny s.y can overflow rho or rho^2 * yHy; such rows keep
+                # their previous H below, without a warning.
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    rho = 1.0 / sy[upd]
+                    Hy = np.einsum("kij,kj->ki", Hu, yu)
+                    yHy = np.sum(yu * Hy, axis=1)
+                    outer_sHy = np.einsum("ki,kj->kij", su, Hy)
+                    Hu = (
+                        Hu
+                        - rho[:, None, None] * (outer_sHy + outer_sHy.transpose(0, 2, 1))
+                        + (rho * rho * yHy + rho)[:, None, None]
+                        * np.einsum("ki,kj->kij", su, su)
+                    )
+                finite = np.all(np.isfinite(Hu), axis=(1, 2))
+                H[rows[upd][finite]] = Hu[finite]
+
+            X[rows] = Xnew[aj]
+            f[rows] = fnew[aj]
+            g[rows] = gnew
+            gn = np.max(np.abs(gnew), axis=1)
+            gnorm[rows] = gn
+            iters[rows] += 1
+            done = gn <= cfg.grad_tol
+            converged[rows[done]] = True
+            active[rows[done]] = False
+
+        # Rows where the line search stalled make no further progress.
+        stalled = idx[~accepted]
+        active[stalled] = False
+        iters[stalled] += 1
+
+    return X, f, iters, converged, gnorm, started
+
+
+# Stacked objectives: datasets of n points, `starts` parameter rows each.
+STACK_CFG = FitConfig(rescale=Rescale(1.0, 1.0, 1.0))
+
+
+def stacked_batch(kind, rng, datasets, starts, n):
+    """(fg, x0) of a `_stacked_objective` over random datasets of a form.
+
+    About one start in eight holds a NaN or a huge value, so that its
+    objective is not finite at the start and the row never steps.
+    """
+    form = scaling._FORMS[kind]
+    data = []
+    for _ in range(datasets):
+        noise = np.exp(rng.normal(0.0, 0.05, n))
+        if kind == "joint":
+            N, D = 10 ** rng.uniform(0, 3, n), 10 ** rng.uniform(0, 3, n)
+            pts = np.column_stack([N, D, (0.3 + N**-0.4 + 1.5 * D**-0.3) * noise])
+        else:
+            X = 10 ** rng.uniform(-2, 3, n)
+            pts = np.column_stack([X, (0.5 + 0.6 * X**-0.2) * noise])
+        data.append(form.data(pts, STACK_CFG, "flops"))
+    stacked = [np.array(columns) for columns in zip(*data)]
+    fg = scaling._stacked_objective(form.fg, stacked, starts, 1e-3)
+    K, d = datasets * starts, len(form.params)
+    x0 = rng.normal(0.0, 1.0, (K, d)) * 10 ** rng.uniform(-1, 1.5, (K, 1))
+    x0[rng.random(K) < 1 / 16, 0] = np.nan
+    x0[rng.random(K) < 1 / 16, 1] = 1e300
+    return fg, x0
+
+
+def rosenbrock_batch(rng, K):
+    """(fg, x0) of K Rosenbrock rows of every kind `rosenbrock_rows` makes.
+
+    Weights of 1e-300 make p.g underflow to -0.0, so such rows reset to
+    steepest descent; starts up to 1e75 overflow their trial values; island
+    rows start at the origin, so every trial step fails and they stall.
+    """
+    a = rng.normal(0.0, 1.5, K)
+    w = rng.choice([1.0, 3.0, 1e-3, 1e-300, np.inf], K)
+    x0 = rng.normal(0.0, 1.0, (K, 2)) * 10.0 ** rng.choice([0, 0, 1, 40, 75], (K, 1))
+    island = rng.random(K) < 0.2
+    x0[island] = 0.0
+    flip = rng.random(K) < 0.15
+    return rosenbrock_rows(a, w, x0, island, flip), x0
+
+
+OPT_CFGS = st.builds(
+    OptimizerConfig,
+    max_iters=st.sampled_from([1, 2, 5, 30, 200]),
+    grad_tol=st.sampled_from([1e-8, 1e-12, 0.0]),
+    armijo_c=st.sampled_from([1e-4, 0.1, 0.45, 0.9]),
+    backtrack=st.sampled_from([0.5, 0.3, 0.7, 0.9]),
+)
+
+
+def assert_matches_reference(fg, x0, cfg):
+    with np.errstate(all="ignore"):  # huge rows overflow p.g and the H update
+        got, want = _bfgs_rows(fg, x0, cfg), reference_bfgs_rows(fg, x0, cfg)
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """`_bfgs_rows` returns the reference's six outputs bit for bit."""
+
+    @given(
+        st.sampled_from(["power", "shifted", "joint"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(5, 12),
+        OPT_CFGS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_objectives(self, kind, seed, datasets, starts, n, cfg):
+        fg, x0 = stacked_batch(kind, np.random.default_rng(seed), datasets, starts, n)
+        assert_matches_reference(fg, x0, cfg)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), OPT_CFGS)
+    @settings(max_examples=80, deadline=None)
+    def test_rosenbrock_rows(self, seed, K, cfg):
+        fg, x0 = rosenbrock_batch(np.random.default_rng(seed), K)
+        assert_matches_reference(fg, x0, cfg)
+
+    @pytest.mark.parametrize("backtrack", [0.5, 0.3, 0.7])
+    @pytest.mark.parametrize("armijo_c", [1e-4, 0.3])
+    def test_every_kind_of_row(self, backtrack, armijo_c):
+        # One row of each kind: converging, never starting, tiny (resets),
+        # huge (overflowing trials), island (stalls after 60 trials) and
+        # wrong-signed; first for a few iterations, then to the end.
+        a = np.array([1.0, 2.0, -0.5, 1.0, 0.7, -1.0])
+        w = np.array([1.0, np.inf, 1e-300, 1.0, 1.0, 2.0])
+        x0 = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0], [3e75, -1e75], [0.0, 0.0], [0.5, 0.5]])
+        island = np.array([False, False, False, False, True, False])
+        flip = np.array([False, False, False, False, False, True])
+        fg = rosenbrock_rows(a, w, x0, island, flip)
+        for max_iters in (3, 400):
+            cfg = OptimizerConfig(max_iters, 0.0, armijo_c, backtrack)
+            assert_matches_reference(fg, x0, cfg)
+
+    def test_joint_grid_rows(self):
+        # A default joint start grid on one dataset, as fit_joint runs it.
+        fg, x0 = stacked_batch("joint", np.random.default_rng(5), 1, 25, 10)
+        cfg = OptimizerConfig()
+        assert_matches_reference(fg, x0, cfg)
 
 
 class TestCheckGradient:
