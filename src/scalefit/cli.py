@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -71,6 +72,7 @@ _SCORE_INPUTS = {"neural": ("activations", "recordings"), "behavior": ("train", 
 
 
 def _default_seed() -> int:
+    """The seed of a command run without --seed: $SCALEFIT_SEED, else 0."""
     return int(os.environ.get("SCALEFIT_SEED", "0"))
 
 
@@ -644,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rescale_flags(p)
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--curve-points", type=int, default=25, help="curve CI grid size (0 disables)")
     p.add_argument("--warm-start", action="store_true")
     p.add_argument("--output", required=True)
@@ -664,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.9)
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--aggregate", choices=["median", "mean"], default="median")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True)
     p.add_argument("--append-to", help="run-table CSV to merge the ceiled score into")
     p.add_argument("--run-id", help="row to update with --append-to")
@@ -688,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=float, default=1e3)
     p.add_argument("--grid-side", type=int, default=10)
     p.add_argument("--sigma", type=float, default=0.0, help="log-space noise sd")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--as-runs", action="store_true", help="emit a run-table CSV")
     p.add_argument("--x-kind", choices=X_KINDS, default="flops")
     p.add_argument("--stimuli", type=int, default=100)
@@ -734,9 +736,16 @@ def _join_signed_numbers(argv: list) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_signed_numbers(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_signed_numbers(sys.argv[1:] if argv is None else argv))
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()  # read per call, so a changed $SCALEFIT_SEED counts
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

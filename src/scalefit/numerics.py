@@ -158,6 +158,14 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
     grad_norm) with leading dimension K. Raises ValueError if the objective
     is not finite at one of the initial points.
 
+    An iteration calls `fg` a few times: the full steps with their
+    gradients, then the trial step lengths of the rows that backtrack in
+    batches of 2, 4, 8, ... per row, then the gradients where those rows
+    stop. So one call may hold several trial points of one row, and `fg`
+    must give each row of P the value it would give that row alone, with
+    or without need_grad. Every row takes the step, and gets the result,
+    that trying one step length at a time would give it.
+
     A row's inverse Hessian is updated only when the step s and gradient
     change y satisfy the curvature condition s.y > 1e-10 ||s|| ||y||. The
     test is relative, so it does not depend on the scale of the objective
@@ -174,15 +182,38 @@ def minimize_batch(fg: BatchObjective, x0: np.ndarray, cfg: OptimizerConfig = Op
     return X, f, iters, converged, gnorm
 
 
+# Trial step lengths a row's line search tries per iteration: 1, backtrack,
+# backtrack^2, ...
+_TRIALS = 60
+
+
+def _step_lengths(backtrack: float) -> np.ndarray:
+    """The _TRIALS step lengths, each the previous one times `backtrack`."""
+    t = np.empty(_TRIALS)
+    t[0] = 1.0
+    for j in range(1, _TRIALS):
+        t[j] = t[j - 1] * backtrack
+    return t
+
+
 def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     """BFGS core of `minimize_batch` for objectives that depend on the row.
 
     `fg(P, rows, need_grad)` evaluates the rows `rows` of `x0` (indices into
-    its first axis) at the parameters P, one row of P per index. A row whose
+    its first axis) at the parameters P, one row of P per index; an index
+    may repeat, once per trial step of that row. A row's value must not
+    depend on need_grad or on the other rows of the call. A row whose
     objective is not finite at its initial point is left where it is and
     never stepped; the other rows run exactly as they would without it.
     Returns (X, f, iterations, converged, grad_norm, started), where
     `started` is False for those rows.
+
+    Each iteration tries the full step of every stepping row with its
+    gradient. The rows that reject it try their next step lengths together,
+    2 per row in one call, then 4, 8 and so on, up to _TRIALS in all; each
+    row takes the first that passes Armijo, as trying one at a time would,
+    and one gradient call serves the rows that backtracked. The state of the
+    stepping rows is held apart and written back as each row stops.
     """
     X = np.array(x0, dtype=float)
     if X.ndim != 2:
@@ -193,92 +224,108 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     g = np.asarray(g, dtype=float)
     started = np.isfinite(f)
 
-    eye = np.eye(d)
-    H = np.repeat(eye[None, :, :], K, axis=0)
     iters = np.zeros(K, dtype=int)
     gnorm = np.max(np.abs(g), axis=1) if d else np.zeros(K)
     converged = started & (gnorm <= cfg.grad_tol)
-    active = started & ~converged
 
-    for _ in range(cfg.max_iters):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+    # The stepping rows: their index in x0, point, value, gradient, its
+    # max-norm and inverse Hessian.
+    rows = np.flatnonzero(started & ~converged)
+    Xa, fa, ga, gna = X[rows], f[rows], g[rows], gnorm[rows]
+    eye = np.eye(d)
+    Ha = np.repeat(eye[None, :, :], rows.size, axis=0)
+    steps = _step_lengths(cfg.backtrack)
+    armijo = cfg.armijo_c * steps
+
+    for it in range(cfg.max_iters):
+        if rows.size == 0:
             break
-        Xi, fi, gi = X[idx], f[idx], g[idx]
-
-        p = -np.einsum("kij,kj->ki", H[idx], gi)
-        slope = np.sum(p * gi, axis=1)
+        p = -np.einsum("kij,kj->ki", Ha, ga)
+        slope = np.sum(p * ga, axis=1)
         bad = slope >= 0  # not a descent direction; reset to steepest descent
         if np.any(bad):
-            p[bad] = -gi[bad]
-            slope[bad] = -np.sum(gi[bad] ** 2, axis=1)
-            H[idx[bad]] = eye
+            p[bad] = -ga[bad]
+            slope[bad] = -np.sum(ga[bad] ** 2, axis=1)
+            Ha[bad] = eye
 
-        # Armijo backtracking line search, per row.
-        t = np.ones(idx.size)
-        Xnew = Xi.copy()
-        fnew = fi.copy()
-        accepted = np.zeros(idx.size, dtype=bool)
-        searching = np.ones(idx.size, dtype=bool)
-        for _bt in range(60):
-            sj = np.flatnonzero(searching)
-            if sj.size == 0:
-                break
-            cand = Xi[sj] + t[sj, None] * p[sj]
-            fc = np.asarray(fg(cand, idx[sj], False), dtype=float)
-            ok = np.isfinite(fc) & (fc <= fi[sj] + cfg.armijo_c * t[sj] * slope[sj])
-            hit = sj[ok]
-            Xnew[hit] = cand[ok]
-            fnew[hit] = fc[ok]
-            accepted[hit] = True
-            searching[hit] = False
-            t[sj[~ok]] *= cfg.backtrack
+        # Armijo backtracking line search: the full step, with its gradient.
+        Xn = Xa + p
+        fn, gn = fg(Xn, rows, True)
+        fn = np.asarray(fn, dtype=float)
+        gn = np.asarray(gn, dtype=float)
+        accepted = np.isfinite(fn) & (fn <= fa + armijo[0] * slope)
 
-        aj = np.flatnonzero(accepted)
-        if aj.size:
-            rows = idx[aj]
-            _, gnew = fg(Xnew[aj], rows, True)
-            gnew = np.asarray(gnew, dtype=float)
-            s = Xnew[aj] - Xi[aj]
-            y = gnew - gi[aj]
-            sy = np.sum(s * y, axis=1)
-            s_norm = np.sqrt(np.sum(s * s, axis=1))
-            y_norm = np.sqrt(np.sum(y * y, axis=1))
-            upd = sy > _CURVATURE_RTOL * s_norm * y_norm
-            if np.any(upd):
-                Hu = H[rows[upd]]
-                su, yu = s[upd], y[upd]
-                # A tiny s.y can overflow rho or rho^2 * yHy; such rows keep
-                # their previous H below, without a warning.
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    rho = 1.0 / sy[upd]
-                    Hy = np.einsum("kij,kj->ki", Hu, yu)
-                    yHy = np.sum(yu * Hy, axis=1)
-                    outer_sHy = np.einsum("ki,kj->kij", su, Hy)
-                    Hu = (
-                        Hu
-                        - rho[:, None, None] * (outer_sHy + outer_sHy.transpose(0, 2, 1))
-                        + (rho * rho * yHy + rho)[:, None, None]
-                        * np.einsum("ki,kj->kij", su, su)
-                    )
-                finite = np.all(np.isfinite(Hu), axis=(1, 2))
-                H[rows[upd][finite]] = Hu[finite]
-
-            X[rows] = Xnew[aj]
-            f[rows] = fnew[aj]
-            g[rows] = gnew
-            gn = np.max(np.abs(gnew), axis=1)
-            gnorm[rows] = gn
-            iters[rows] += 1
-            done = gn <= cfg.grad_tol
-            converged[rows[done]] = True
-            active[rows[done]] = False
+        # The rows that reject it try their next step lengths in batches.
+        backtracking = searching = np.flatnonzero(~accepted)
+        tried, width = 1, 2
+        while searching.size and tried < _TRIALS:
+            k = min(width, _TRIALS - tried)
+            t = steps[tried : tried + k]
+            cand = Xa[searching, None, :] + t[None, :, None] * p[searching, None, :]
+            fc = fg(cand.reshape(-1, d), np.repeat(rows[searching], k), False)
+            fc = np.asarray(fc, dtype=float).reshape(-1, k)
+            ok = np.isfinite(fc) & (
+                fc <= fa[searching, None] + armijo[tried : tried + k] * slope[searching, None]
+            )
+            hit = np.any(ok, axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            took = searching[hit]
+            Xn[took] = cand[hit, first]
+            fn[took] = fc[hit, first]
+            accepted[took] = True
+            searching = searching[~hit]
+            tried += k
+            width *= 2
+        took = backtracking[accepted[backtracking]]
+        if took.size:
+            _, gb = fg(Xn[took], rows[took], True)
+            gn[took] = np.asarray(gb, dtype=float)
 
         # Rows where the line search stalled make no further progress.
-        stalled = idx[~accepted]
-        active[stalled] = False
-        iters[stalled] += 1
+        stalled = np.flatnonzero(~accepted)
+        if stalled.size:
+            out = rows[stalled]
+            X[out], f[out], gnorm[out], iters[out] = Xa[stalled], fa[stalled], gna[stalled], it + 1
 
+        aj = np.flatnonzero(accepted)
+        Xn, fn, gn, H = Xn[aj], fn[aj], gn[aj], Ha[aj]
+        s = Xn - Xa[aj]
+        y = gn - ga[aj]
+        sy = np.sum(s * y, axis=1)
+        s_norm = np.sqrt(np.sum(s * s, axis=1))
+        y_norm = np.sqrt(np.sum(y * y, axis=1))
+        upd = np.flatnonzero(sy > _CURVATURE_RTOL * s_norm * y_norm)
+        if upd.size:
+            Hu = H[upd]
+            su, yu = s[upd], y[upd]
+            # A tiny s.y can overflow rho or rho^2 * yHy; such rows keep
+            # their previous H below, without a warning.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                rho = 1.0 / sy[upd]
+                Hy = np.einsum("kij,kj->ki", Hu, yu)
+                yHy = np.sum(yu * Hy, axis=1)
+                outer_sHy = np.einsum("ki,kj->kij", su, Hy)
+                Hu = (
+                    Hu
+                    - rho[:, None, None] * (outer_sHy + outer_sHy.transpose(0, 2, 1))
+                    + (rho * rho * yHy + rho)[:, None, None]
+                    * np.einsum("ki,kj->kij", su, su)
+                )
+            finite = np.all(np.isfinite(Hu), axis=(1, 2))
+            H[upd[finite]] = Hu[finite]
+
+        gn_max = np.max(np.abs(gn), axis=1)
+        done = gn_max <= cfg.grad_tol
+        if np.any(done):
+            out = rows[aj[done]]
+            X[out], f[out], gnorm[out], iters[out] = Xn[done], fn[done], gn_max[done], it + 1
+            converged[out] = True
+            keep = ~done
+            aj, Xn, fn, gn, gn_max, H = aj[keep], Xn[keep], fn[keep], gn[keep], gn_max[keep], H[keep]
+        rows, Xa, fa, ga, gna, Ha = rows[aj], Xn, fn, gn, gn_max, H
+
+    # Rows still stepping ran every iteration.
+    X[rows], f[rows], gnorm[rows], iters[rows] = Xa, fa, gna, cfg.max_iters
     return X, f, iters, converged, gnorm, started
 
 

@@ -601,15 +601,17 @@ def _form(name: str, what: str = "form") -> _Form:
     return _FORMS[name]
 
 
-def _select_best(Xs, fs, conv, inits):
-    """Lowest objective; ties by smaller alpha (column 2 in every form), then grid order."""
-    finite = np.isfinite(fs)
-    if not np.any(finite):
-        raise RuntimeError("all grid minimizations diverged to non-finite objectives")
-    fs = np.where(finite, fs, np.inf)
-    order = np.lexsort((np.arange(len(fs)), Xs[:, 2], fs))
-    k = int(order[0])
-    return Xs[k], float(fs[k]), bool(conv[k]), inits[k]
+def _select_best(X: np.ndarray, f: np.ndarray):
+    """The best start of each dataset, from X (datasets, starts, d) and f (datasets, starts).
+
+    Lowest finite objective; ties by smaller alpha (column 2 in every form),
+    then start order. Returns (index, found), each of shape (datasets,);
+    found is False for a dataset whose every objective is non-finite.
+    """
+    finite = np.isfinite(f)
+    f = np.where(finite, f, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(f.shape[1]), f.shape), X[:, :, 2], f), axis=-1)
+    return order[:, 0], np.any(finite, axis=1)
 
 
 def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
@@ -620,8 +622,10 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
     inits = form.starts(data, form.grid(cfg))
     P, fvals, _, conv, _ = minimize_batch(fg, np.array(inits, dtype=float), cfg.optimizer)
-    best, obj, converged, init = _select_best(P, fvals, conv, inits)
-    return form.result(best, obj, converged, init, cfg, x_kind, len(data[0]))
+    (k,), (found,) = _select_best(P[None], fvals[None])
+    if not found:
+        raise RuntimeError("all grid minimizations diverged to non-finite objectives")
+    return form.result(P[k], float(fvals[k]), bool(conv[k]), inits[k], cfg, x_kind, len(data[0]))
 
 
 def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:

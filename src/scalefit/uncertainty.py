@@ -6,10 +6,13 @@ results. All resample indices are drawn first; the resamples of each
 length are then fitted together in one batched BFGS run, or in several
 where resamples x starts would pass a row cap; the run's objective
 evaluates its rows in blocks of bounded size. A resample's data is the
-whole data set's per-point arrays gathered at its indices, and the curve
+whole data set's per-point arrays gathered at its indices; the best start
+of every resample of a run is picked in one array pass; and the curve
 band is every fit's curve from one `predict` call. Each resample's rows
-run exactly the arithmetic a fit of that resample alone would, so the
-draws and intervals are the same as fitting the resamples one at a time.
+run exactly the arithmetic a fit of that resample alone would, including
+the BFGS line search, which tries the step lengths of many rows, and
+several of one row, in one objective call; so the draws and intervals are
+the same as fitting the resamples one at a time.
 """
 from __future__ import annotations
 
@@ -133,15 +136,13 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
             P0 = np.array(inits, dtype=float).reshape(len(run) * starts, -1)
             X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
+            best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
+            found &= np.all(started.reshape(len(run), starts), axis=1)
             for j, i in enumerate(run):
-                rows = slice(j * starts, (j + 1) * starts)
-                if not np.all(started[rows]):
-                    continue
-                try:
-                    best, obj, converged, init = _select_best(X[rows], f[rows], conv[rows], inits[j])
-                except RuntimeError:
-                    continue
-                fits[i] = form.result(best, obj, converged, init, cfg, x_kind, n)
+                if found[j]:
+                    k = best[j]
+                    r = j * starts + k
+                    fits[i] = form.result(X[r], float(f[r]), bool(conv[r]), inits[j][k], cfg, x_kind, n)
     return fits
 
 

@@ -4,8 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from scalefit import records
-from scalefit.cli import _fit_from_payload, _fit_payload, _target_misalignment, main
+from scalefit import cli, records
+from scalefit.cli import (
+    _fit_from_payload,
+    _fit_payload,
+    _target_misalignment,
+    build_parser,
+    main,
+)
 from scalefit.records import CSV_COLUMNS, OPTIONAL_COLUMNS, REGIONS, RunRecord, RunTable, ingest
 from scalefit.scaling import (
     FitConfig,
@@ -123,6 +129,40 @@ class TestSimulate:
             "--as-runs", "--output", str(out),
         ) == 1
         assert not out.exists()
+
+
+class TestParser:
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run("report", "--output", str(tmp_path / "gains.csv")) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_seed_env_read_per_call(self, tmp_path, monkeypatch):
+        curve = [
+            "simulate", "--kind", "curve", "--n-points", "10", "--sigma", "0.1", "--output",
+        ]
+
+        def points(name, *extra):
+            path = tmp_path / name
+            assert run(*curve, str(path), *extra) == 0
+            return path.read_bytes()
+
+        monkeypatch.delenv("SCALEFIT_SEED", raising=False)
+        zero = points("zero.csv", "--seed", "0")
+        assert points("unset.csv") == zero
+        by_env = {}
+        for seed in ("5", "7"):
+            monkeypatch.setenv("SCALEFIT_SEED", seed)
+            by_env[seed] = points(f"env{seed}.csv")
+            assert by_env[seed] == points(f"flag{seed}.csv", "--seed", seed)
+            assert points(f"override{seed}.csv", "--seed", "0") == zero
+        assert by_env["5"] != by_env["7"]
 
 
 class TestFit:

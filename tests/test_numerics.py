@@ -509,6 +509,79 @@ class TestMatchesReference:
         assert_matches_reference(fg, x0, cfg)
 
 
+class TestBatchedLineSearch:
+    """The line search makes about log2(k) value calls for k halvings, not k."""
+
+    @staticmethod
+    def counted(a, island=None):
+        # Per-row a x^2 from x = 1: with H = I the full step lands at
+        # 1 - 2a, and a = 0.75 * 2^k needs exactly k halvings. An island
+        # row is finite only at its start, so all 60 trials fail.
+        calls = []
+
+        def fg(P, rows, need_grad):
+            calls.append((need_grad, rows.copy()))
+            v = a[rows] * P[:, 0] ** 2
+            if island is not None:
+                v = np.where(island[rows] & (P[:, 0] != 1.0), np.nan, v)
+            return (v, (2 * a[rows] * P[:, 0])[:, None]) if need_grad else v
+
+        return fg, calls
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 40])
+    def test_rounds_for_k_halvings(self, k):
+        cfg = OptimizerConfig(max_iters=1)
+        fg, calls = self.counted(np.array([0.75 * 2.0**k]))
+        X, f, iters, _, _, _ = _bfgs_rows(fg, np.ones((1, 1)), cfg)
+        assert X[0, 0] == 1 - 2 * 0.75 * 2.0**k * 0.5**k and iters[0] == 1
+        value_calls = sum(not need_grad for need_grad, _ in calls)
+        grad_calls = sum(need_grad for need_grad, _ in calls)
+        # Rounds of 2, 4, 8, ... trials: r rounds cover 2^(r+1) - 2 of them.
+        assert value_calls == (math.ceil(math.log2(k + 2)) - 1 if k else 0)
+        assert grad_calls == (3 if k else 2)  # start, full step, backtracked rows
+        ref_fg, ref_calls = self.counted(np.array([0.75 * 2.0**k]))
+        assert X.tobytes() == reference_bfgs_rows(ref_fg, np.ones((1, 1)), cfg)[0].tobytes()
+        assert sum(not need_grad for need_grad, _ in ref_calls) == k + 1  # one per trial
+
+    @pytest.mark.parametrize("backtrack", [0.3, 0.7])
+    @pytest.mark.parametrize("armijo_c", [1e-4, 0.3])
+    def test_value_on_the_armijo_bound_passes(self, backtrack, armijo_c):
+        # From f(x0) = 0 with gradient g, the bound at step length t is
+        # (c t) slope, which can differ from c (t slope) in its last bit.
+        # The trial J where it does returns exactly the bound and must pass;
+        # every other trial is NaN.
+        g, x0 = 0.7, 1.0
+        slope = -g * g
+        t = [1.0]
+        while len(t) < 60:
+            t.append(t[-1] * backtrack)
+        J = next(j for j, tj in enumerate(t) if armijo_c * (tj * slope) < (armijo_c * tj) * slope)
+        xJ, bound = x0 + t[J] * -g, (armijo_c * t[J]) * slope
+
+        def fg(P, rows, need_grad):
+            x = P[:, 0]
+            v = np.where(x == x0, 0.0, np.where(x == xJ, bound, np.nan))
+            return (v, np.full((len(x), 1), g)) if need_grad else v
+
+        cfg = OptimizerConfig(max_iters=1, armijo_c=armijo_c, backtrack=backtrack)
+        X, f, _, _, _, _ = _bfgs_rows(fg, np.array([[x0]]), cfg)
+        assert X[0, 0] == xJ and f[0] == bound
+        assert_matches_reference(fg, np.array([[x0]]), cfg)
+
+    def test_stalled_row_tries_60_steps_in_5_rounds(self):
+        a = np.array([1.0, 0.75 * 2.0**3])
+        fg, calls = self.counted(a, island=np.array([True, False]))
+        X, _, iters, conv, _, _ = _bfgs_rows(fg, np.ones((2, 1)), OptimizerConfig(max_iters=1))
+        trials = [np.count_nonzero(rows == 0) for need_grad, rows in calls if not need_grad]
+        assert trials == [2, 4, 8, 16, 29]  # and the full step: 60 in all
+        assert X[0, 0] == 1.0 and iters[0] == 1 and not conv[0]
+        # Row 1 backtracks 3 times alongside, in the first two rounds.
+        assert [np.count_nonzero(rows == 1) for need_grad, rows in calls if not need_grad] == [
+            2, 4, 0, 0, 0
+        ]
+        assert X[1, 0] == 1 - 2 * 6.0 * 0.125
+
+
 class TestCheckGradient:
     def test_polynomial(self):
         err = check_gradient(lambda x: (float(x[0] ** 2), np.array([2 * x[0]])), [2.0])

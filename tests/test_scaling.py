@@ -17,6 +17,7 @@ from scalefit.scaling import (
     _joint_project,
     _power_fg,
     _power_objective,
+    _select_best,
     _stacked_objective,
     fit_joint,
     fit_power_law,
@@ -425,3 +426,46 @@ class TestStackedObjective:
         assert np.array_equal(f, f_ref, equal_nan=True)
         assert np.array_equal(g, g_ref, equal_nan=True)
         assert np.array_equal(fg(P, rows, False), f_ref, equal_nan=True)
+
+
+class TestSelectBest:
+    # Three datasets of four starts (e, a, alpha): ties in f broken by alpha
+    # and then start order; NaN and infinite objectives skipped; every
+    # start of the last dataset diverged.
+    F = np.array(
+        [
+            [1.0, 0.5, 0.5, 0.5],
+            [np.nan, np.inf, 0.7, 0.7],
+            [np.nan, np.inf, -np.inf, np.nan],
+        ]
+    )
+    ALPHA = np.array([[0.0, 0.3, 0.2, 0.2], [0.0, 0.0, 0.5, 0.4], [0.1, 0.2, 0.3, 0.4]])
+
+    def batch(self):
+        X = np.zeros(self.F.shape + (3,))
+        X[:, :, 2] = self.ALPHA
+        return X, self.F
+
+    def test_picks_per_dataset(self):
+        best, found = _select_best(*self.batch())
+        assert best[:2].tolist() == [2, 3]
+        assert found.tolist() == [True, True, False]
+
+    def test_one_dataset_at_a_time_agrees(self):
+        X, F = self.batch()
+        best, found = _select_best(X, F)
+        for r in range(len(F)):
+            (b,), (ok,) = _select_best(X[r : r + 1], F[r : r + 1])
+            assert ok == found[r]
+            if ok:
+                assert b == best[r]
+
+    def test_fit_raises_when_every_start_diverges(self, monkeypatch):
+        def diverged(fg, x0, cfg):
+            K = len(x0)
+            return x0, np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool), np.zeros(K)
+
+        monkeypatch.setattr(scaling, "minimize_batch", diverged)
+        pts = np.column_stack([np.logspace(0, 2, 5), np.linspace(1.0, 0.6, 5)])
+        with pytest.raises(RuntimeError, match="all grid minimizations diverged"):
+            fit_power_law(pts, ID_CFG)
