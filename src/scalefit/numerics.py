@@ -212,8 +212,10 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     gradient. The rows that reject it try their next step lengths together,
     2 per row in one call, then 4, 8 and so on, up to _TRIALS in all; each
     row takes the first that passes Armijo, as trying one at a time would,
-    and one gradient call serves the rows that backtracked. The state of the
-    stepping rows is held apart and written back as each row stops.
+    and one gradient call serves the rows that backtracked. No call holds
+    more than max(K, _TRIALS) rows, so from K = _TRIALS on no call is wider
+    than the first, which evaluates every row. The state of the stepping
+    rows is held apart and written back as each row stops.
     """
     X = np.array(x0, dtype=float)
     if X.ndim != 2:
@@ -236,6 +238,7 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     Ha = np.repeat(eye[None, :, :], rows.size, axis=0)
     steps = _step_lengths(cfg.backtrack)
     armijo = cfg.armijo_c * steps
+    cap = max(K, _TRIALS)  # rows per objective call
 
     for it in range(cfg.max_iters):
         if rows.size == 0:
@@ -262,8 +265,13 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
             k = min(width, _TRIALS - tried)
             t = steps[tried : tried + k]
             cand = Xa[searching, None, :] + t[None, :, None] * p[searching, None, :]
-            fc = fg(cand.reshape(-1, d), np.repeat(rows[searching], k), False)
-            fc = np.asarray(fc, dtype=float).reshape(-1, k)
+            flat, owner = cand.reshape(-1, d), np.repeat(rows[searching], k)
+            fc = np.concatenate(
+                [
+                    np.asarray(fg(flat[i : i + cap], owner[i : i + cap], False), dtype=float)
+                    for i in range(0, len(flat), cap)
+                ]
+            ).reshape(-1, k)
             ok = np.isfinite(fc) & (
                 fc <= fa[searching, None] + armijo[tried : tried + k] * slope[searching, None]
             )

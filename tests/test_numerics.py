@@ -543,6 +543,19 @@ class TestBatchedLineSearch:
         assert X.tobytes() == reference_bfgs_rows(ref_fg, np.ones((1, 1)), cfg)[0].tobytes()
         assert sum(not need_grad for need_grad, _ in ref_calls) == k + 1  # one per trial
 
+    @pytest.mark.parametrize("K", [3, 70])
+    def test_no_call_wider_than_max_of_rows_and_60(self, K):
+        # Every row stalls, so rounds of 2, 4, ..., 29 trials a row hold
+        # up to 29 K rows; they are split into calls of max(K, 60) rows.
+        fg, calls = self.counted(np.ones(K), island=np.ones(K, dtype=bool))
+        cfg = OptimizerConfig(max_iters=1)
+        out = _bfgs_rows(fg, np.ones((K, 1)), cfg)
+        assert max(len(rows) for _, rows in calls) == max(K, 60)
+        trials = np.bincount(np.concatenate([rows for g, rows in calls if not g]), minlength=K)
+        assert trials.tolist() == [59] * K  # and the full step
+        assert_matches_reference(fg, np.ones((K, 1)), cfg)
+        assert not out[3].any()
+
     @pytest.mark.parametrize("backtrack", [0.3, 0.7])
     @pytest.mark.parametrize("armijo_c", [1e-4, 0.3])
     def test_value_on_the_armijo_bound_passes(self, backtrack, armijo_c):
