@@ -59,20 +59,26 @@ class MinimizeResult:
 
 
 def _huber_parts(r, delta: float):
-    """(loss, derivative) of the Huber loss at r, both from one clip.
+    """(loss, derivative) of the Huber loss at an array r, both from one clip.
 
-    The derivative is dh = clip(r, -delta, delta) and the loss |dh (r - dh/2)|,
-    which is 0.5 r^2 within delta and delta (|r| - 0.5 delta) beyond, bit for
-    bit. The abs only turns the -0.0 that r = -0.0 gives into +0.0.
+    The derivative is dh = clip(r, -delta, delta), formed as
+    min(max(r, -delta), delta), which gives clip's bits, NaN and -0.0
+    included. The loss is |dh (r - dh/2)|, which is 0.5 r^2 within delta and
+    delta (|r| - 0.5 delta) beyond, bit for bit. The abs only turns the -0.0
+    that r = -0.0 gives into +0.0.
     """
-    dh = np.clip(r, -delta, delta)
-    return np.abs(dh * (r - 0.5 * dh)), dh
+    dh = np.minimum(np.maximum(r, -delta), delta)
+    h = 0.5 * dh
+    np.subtract(r, h, out=h)
+    np.multiply(dh, h, out=h)
+    return np.abs(h, out=h), dh
 
 
 def huber(r, params: HuberParams = HuberParams()):
     """Huber loss: 0.5 r^2 for |r| <= delta, delta (|r| - 0.5 delta) beyond."""
-    out = _huber_parts(np.asarray(r, dtype=float), params.delta)[0]
-    return out if out.ndim else float(out)
+    r = np.asarray(r, dtype=float)
+    out = _huber_parts(np.atleast_1d(r), params.delta)[0]
+    return out if r.ndim else float(out[0])
 
 
 def huber_deriv(r, params: HuberParams = HuberParams()):
@@ -100,16 +106,18 @@ def _logaddexp(x, y):
     The vector exp and log1p can differ from the scalar ones in the last bits:
     the result is within 2 ulp of max(|x|, |y|, |np.logaddexp(x, y)|) of
     np.logaddexp's. Equal infinities give that infinity, and a NaN gives NaN.
+    -|x - y| is formed as min(x, y) - max(x, y), whose rounding is that of
+    x - y with the sign turned, and which reuses the max.
     """
-    t = np.subtract(x, y)
-    np.abs(t, out=t)
-    np.negative(t, out=t)
+    m = np.maximum(x, y)
+    t = np.minimum(x, y)
+    t -= m
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    # x - y is NaN only for a NaN, which the max carries, or for equal
+    # min - max is NaN only for a NaN, which the max carries, or for equal
     # infinities, whose sum is the max itself.
     np.fmax(t, 0.0, out=t)
-    t += np.maximum(x, y)
+    t += m
     return t
 
 
@@ -205,8 +213,9 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     depend on need_grad or on the other rows of the call. A row whose
     objective is not finite at its initial point is left where it is and
     never stepped; the other rows run exactly as they would without it.
-    Returns (X, f, iterations, converged, grad_norm, started), where
-    `started` is False for those rows.
+    The arrays `fg` returns are kept and written to, so each call must
+    return new ones. Returns (X, f, iterations, converged, grad_norm,
+    started), where `started` is False for those rows.
 
     Each iteration tries the full step of every stepping row with its
     gradient. The rows that reject it try their next step lengths together,
@@ -215,7 +224,8 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     and one gradient call serves the rows that backtracked. No call holds
     more than max(K, _TRIALS) rows, so from K = _TRIALS on no call is wider
     than the first, which evaluates every row. The state of the stepping
-    rows is held apart and written back as each row stops.
+    rows is held apart and written back as each row stops; it is gathered
+    anew only in an iteration where a row stops.
     """
     X = np.array(x0, dtype=float)
     if X.ndim != 2:
@@ -227,7 +237,7 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     started = np.isfinite(f)
 
     iters = np.zeros(K, dtype=int)
-    gnorm = np.max(np.abs(g), axis=1) if d else np.zeros(K)
+    gnorm = np.maximum.reduce(np.abs(g), axis=1) if d else np.zeros(K)
     converged = started & (gnorm <= cfg.grad_tol)
 
     # The stepping rows: their index in x0, point, value, gradient, its
@@ -243,12 +253,13 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
     for it in range(cfg.max_iters):
         if rows.size == 0:
             break
-        p = -np.einsum("kij,kj->ki", Ha, ga)
-        slope = np.sum(p * ga, axis=1)
+        p = np.einsum("kij,kj->ki", Ha, ga)
+        np.negative(p, out=p)
+        slope = np.add.reduce(p * ga, axis=1)
         bad = slope >= 0  # not a descent direction; reset to steepest descent
-        if np.any(bad):
+        if bad.any():
             p[bad] = -ga[bad]
-            slope[bad] = -np.sum(ga[bad] ** 2, axis=1)
+            slope[bad] = -np.add.reduce(ga[bad] ** 2, axis=1)
             Ha[bad] = eye
 
         # Armijo backtracking line search: the full step, with its gradient.
@@ -258,83 +269,99 @@ def _bfgs_rows(fg, x0: np.ndarray, cfg: OptimizerConfig):
         gn = np.asarray(gn, dtype=float)
         accepted = np.isfinite(fn) & (fn <= fa + armijo[0] * slope)
 
-        # The rows that reject it try their next step lengths in batches.
-        backtracking = searching = np.flatnonzero(~accepted)
-        tried, width = 1, 2
-        while searching.size and tried < _TRIALS:
-            k = min(width, _TRIALS - tried)
-            t = steps[tried : tried + k]
-            cand = Xa[searching, None, :] + t[None, :, None] * p[searching, None, :]
-            flat, owner = cand.reshape(-1, d), np.repeat(rows[searching], k)
-            fc = np.concatenate(
-                [
-                    np.asarray(fg(flat[i : i + cap], owner[i : i + cap], False), dtype=float)
-                    for i in range(0, len(flat), cap)
-                ]
-            ).reshape(-1, k)
-            ok = np.isfinite(fc) & (
-                fc <= fa[searching, None] + armijo[tried : tried + k] * slope[searching, None]
-            )
-            hit = np.any(ok, axis=1)
-            first = np.argmax(ok[hit], axis=1)
-            took = searching[hit]
-            Xn[took] = cand[hit, first]
-            fn[took] = fc[hit, first]
-            accepted[took] = True
-            searching = searching[~hit]
-            tried += k
-            width *= 2
-        took = backtracking[accepted[backtracking]]
-        if took.size:
-            _, gb = fg(Xn[took], rows[took], True)
-            gn[took] = np.asarray(gb, dtype=float)
-
-        # Rows where the line search stalled make no further progress.
-        stalled = np.flatnonzero(~accepted)
-        if stalled.size:
-            out = rows[stalled]
-            X[out], f[out], gnorm[out], iters[out] = Xa[stalled], fa[stalled], gna[stalled], it + 1
-
-        aj = np.flatnonzero(accepted)
-        Xn, fn, gn, H = Xn[aj], fn[aj], gn[aj], Ha[aj]
-        s = Xn - Xa[aj]
-        y = gn - ga[aj]
-        sy = np.sum(s * y, axis=1)
-        s_norm = np.sqrt(np.sum(s * s, axis=1))
-        y_norm = np.sqrt(np.sum(y * y, axis=1))
-        upd = np.flatnonzero(sy > _CURVATURE_RTOL * s_norm * y_norm)
-        if upd.size:
-            Hu = H[upd]
-            su, yu = s[upd], y[upd]
-            # A tiny s.y can overflow rho or rho^2 * yHy; such rows keep
-            # their previous H below, without a warning.
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                rho = 1.0 / sy[upd]
-                Hy = np.einsum("kij,kj->ki", Hu, yu)
-                yHy = np.sum(yu * Hy, axis=1)
-                outer_sHy = np.einsum("ki,kj->kij", su, Hy)
-                Hu = (
-                    Hu
-                    - rho[:, None, None] * (outer_sHy + outer_sHy.transpose(0, 2, 1))
-                    + (rho * rho * yHy + rho)[:, None, None]
-                    * np.einsum("ki,kj->kij", su, su)
+        if not accepted.all():
+            # The rows that reject it try their next step lengths in batches.
+            backtracking = searching = np.flatnonzero(~accepted)
+            tried, width = 1, 2
+            while searching.size and tried < _TRIALS:
+                k = min(width, _TRIALS - tried)
+                t = steps[tried : tried + k]
+                cand = Xa[searching, None, :] + t[None, :, None] * p[searching, None, :]
+                flat, owner = cand.reshape(-1, d), np.repeat(rows[searching], k)
+                fc = np.concatenate(
+                    [
+                        np.asarray(fg(flat[i : i + cap], owner[i : i + cap], False), dtype=float)
+                        for i in range(0, len(flat), cap)
+                    ]
+                ).reshape(-1, k)
+                ok = np.isfinite(fc) & (
+                    fc <= fa[searching, None] + armijo[tried : tried + k] * slope[searching, None]
                 )
-            finite = np.all(np.isfinite(Hu), axis=(1, 2))
-            H[upd[finite]] = Hu[finite]
+                hit = ok.any(axis=1)
+                first = np.argmax(ok[hit], axis=1)
+                took = searching[hit]
+                Xn[took] = cand[hit, first]
+                fn[took] = fc[hit, first]
+                accepted[took] = True
+                searching = searching[~hit]
+                tried += k
+                width *= 2
+            took = backtracking[accepted[backtracking]]
+            if took.size:
+                _, gb = fg(Xn[took], rows[took], True)
+                gn[took] = np.asarray(gb, dtype=float)
 
-        gn_max = np.max(np.abs(gn), axis=1)
+            # Rows where the line search stalled make no further progress;
+            # the others carry on.
+            stalled = np.flatnonzero(~accepted)
+            if stalled.size:
+                out = rows[stalled]
+                X[out], f[out], gnorm[out], iters[out] = Xa[stalled], fa[stalled], gna[stalled], it + 1
+                aj = np.flatnonzero(accepted)
+                rows, Xa, ga, Ha, Xn, fn, gn = (a[aj] for a in (rows, Xa, ga, Ha, Xn, fn, gn))
+
+        s = Xn - Xa
+        y = gn - ga
+        sy = np.add.reduce(s * y, axis=1)
+        s_norm = np.sqrt(np.add.reduce(s * s, axis=1))
+        y_norm = np.sqrt(np.add.reduce(y * y, axis=1))
+        # Every row's update is formed, and a row takes it where it passes
+        # the curvature test and is finite; a row's update does not depend
+        # on the others.
+        Hn = _bfgs_update(Ha, s, y, sy)
+        take = sy > _CURVATURE_RTOL * s_norm * y_norm
+        finite = np.isfinite(Hn)
+        if not (take.all() and finite.all()):
+            take &= finite.all(axis=(1, 2))
+            Hn = np.where(take[:, None, None], Hn, Ha)
+        Ha = Hn
+
+        gn_max = np.maximum.reduce(np.abs(gn), axis=1)
         done = gn_max <= cfg.grad_tol
-        if np.any(done):
-            out = rows[aj[done]]
+        if done.any():
+            out = rows[done]
             X[out], f[out], gnorm[out], iters[out] = Xn[done], fn[done], gn_max[done], it + 1
             converged[out] = True
             keep = ~done
-            aj, Xn, fn, gn, gn_max, H = aj[keep], Xn[keep], fn[keep], gn[keep], gn_max[keep], H[keep]
-        rows, Xa, fa, ga, gna, Ha = rows[aj], Xn, fn, gn, gn_max, H
+            rows, Xn, fn, gn, gn_max, Ha = (a[keep] for a in (rows, Xn, fn, gn, gn_max, Ha))
+        Xa, fa, ga, gna = Xn, fn, gn, gn_max
 
     # Rows still stepping ran every iteration.
     X[rows], f[rows], gnorm[rows], iters[rows] = Xa, fa, gna, cfg.max_iters
     return X, f, iters, converged, gnorm, started
+
+
+def _bfgs_update(H, s, y, sy):
+    """The BFGS update of each inverse Hessian H (k, d, d) by its step s and
+    gradient change y (k, d), with sy = s.y:
+
+        H - rho (s (Hy)^T + (Hy) s^T) + (rho^2 yHy + rho) s s^T,  rho = 1 / sy.
+
+    Each outer product's element is one product. A tiny s.y can overflow
+    rho or rho^2 yHy; such rows come out non-finite, without a warning.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho = 1.0 / sy
+        Hy = np.einsum("kij,kj->ki", H, y)
+        yHy = np.add.reduce(y * Hy, axis=1)
+        sHy = s[:, :, None] * Hy[:, None, :]
+        Hn = sHy + sHy.transpose(0, 2, 1)
+        Hn *= rho[:, None, None]
+        np.subtract(H, Hn, out=Hn)
+        ss = s[:, :, None] * s[:, None, :]
+        ss *= (rho * rho * yHy + rho)[:, None, None]
+        Hn += ss
+    return Hn
 
 
 def _fd_gradient(f_only, x: np.ndarray, step: float) -> np.ndarray:

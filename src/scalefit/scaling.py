@@ -249,23 +249,55 @@ def _distinct(V: np.ndarray) -> np.ndarray:
 # Each form's objective evaluates K parameter rows P (K, d) against data
 # arrays of shape (1, n), shared by every row, or (K, n), one row of data
 # per parameter row. Returns values (K,), and gradients (K, d) if need_grad.
+# The kernels form their (K, n) temporaries in place and reduce each
+# gradient column straight into its column of the result; every product
+# keeps its operand order, so NaNs carry the same payloads.
+
+
+def _residual_parts(s, logL, hp):
+    """(values (K,), dh (K, n)): the Huber loss of the residuals s - logL,
+    summed per row, and its derivative."""
+    h, dh = _huber_parts(np.subtract(s, logL), hp.delta)
+    return np.add.reduce(h, axis=1), dh
+
+
+def _grad_column(out, terms, negate=False):
+    """Sum each row of `terms` into the column `out`, negated if asked."""
+    np.add.reduce(terms, axis=1, out=out)
+    if negate:
+        np.negative(out, out=out)
+
+
+def _dh_weight(dh, t, s, out):
+    """dh exp(t - s), the loss derivative times that of s = logaddexp(..., t)
+    in t, formed in `out`."""
+    np.subtract(t, s, out=out)
+    np.exp(out, out=out)
+    return np.multiply(dh, out, out=out)
+
+
+def _power_grad(g, dh, t, e, s, logX):
+    """The (e, a, alpha) gradient columns of s = logaddexp(t, e) with
+    t = a - alpha logX, into g[:, :3]. Overwrites t with dh w, which it
+    returns, and s."""
+    dhw = _dh_weight(dh, t, s, out=t)
+    _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
+    _grad_column(g[:, 1], dhw)
+    _grad_column(g[:, 2], np.multiply(dhw, logX, out=s), negate=True)
+    return dhw
 
 
 def _power_fg(P, logX, logL, hp, need_grad):
     e, a, al = P[:, 0:1], P[:, 1:2], P[:, 2:3]
-    t = a - al * logX
+    t = np.multiply(al, logX)
+    np.subtract(a, t, out=t)
     s = _logaddexp(t, e)
-    h, dh = _huber_parts(s - logL, hp.delta)
-    fv = np.sum(h, axis=1)
+    fv, dh = _residual_parts(s, logL, hp)
     if not need_grad:
         return fv
-    w = np.exp(t - s)
-    we = np.exp(e - s)
-    dhw = dh * w
-    ge = np.sum(dh * we, axis=1)
-    ga = np.sum(dhw, axis=1)
-    gal = -np.sum(dhw * logX, axis=1)
-    return fv, np.stack([ge, ga, gal], axis=1)
+    g = np.empty((len(P), 3))
+    _power_grad(g, dh, t, e, s, logX)
+    return fv, g
 
 
 _LN10 = np.log(10.0)
@@ -274,71 +306,87 @@ _LN10 = np.log(10.0)
 def _shifted_fg(P, X, logL, hp, need_grad, freeze_lambda=False):
     e, a, al, lam = P[:, 0:1], P[:, 1:2], P[:, 2:3], P[:, 3:4]
     shift = np.power(10.0, lam)
-    Xs = X + shift
+    Xs = np.add(X, shift)
     logXs = np.log(Xs)
-    t = a - al * logXs
+    t = np.multiply(al, logXs)
+    np.subtract(a, t, out=t)
     s = _logaddexp(t, e)
-    h, dh = _huber_parts(s - logL, hp.delta)
-    fv = np.sum(h, axis=1)
+    fv, dh = _residual_parts(s, logL, hp)
     if not need_grad:
         return fv
-    w = np.exp(t - s)
-    we = np.exp(e - s)
-    dhw = dh * w
-    ge = np.sum(dh * we, axis=1)
-    ga = np.sum(dhw, axis=1)
-    gal = -np.sum(dhw * logXs, axis=1)
+    g = np.empty((len(P), 4))
+    dhw = _power_grad(g, dh, t, e, s, logXs)
     if freeze_lambda:
-        glam = np.zeros_like(ge)
+        g[:, 3] = 0.0
     else:
-        glam = -np.sum(dhw * al * (shift * _LN10) / Xs, axis=1)
-    return fv, np.stack([ge, ga, gal, glam], axis=1)
+        np.multiply(dhw, al, out=dhw)
+        dhw *= shift * _LN10
+        _grad_column(g[:, 3], np.divide(dhw, Xs, out=dhw), negate=True)
+    return fv, g
 
 
 def _joint_fg(P, logN, logD, logL, hp, need_grad):
     e, a, al, b, be = (P[:, i : i + 1] for i in range(5))
-    tn = a - al * logN
-    td = b - be * logD
+    tn = np.multiply(al, logN)
+    np.subtract(a, tn, out=tn)
+    td = np.multiply(be, logD)
+    np.subtract(b, td, out=td)
     s = _logaddexp(_logaddexp(tn, td), e)
-    h, dh = _huber_parts(s - logL, hp.delta)
-    fv = np.sum(h, axis=1)
+    fv, dh = _residual_parts(s, logL, hp)
     if not need_grad:
         return fv
-    dhn = dh * np.exp(tn - s)
-    dhd = dh * np.exp(td - s)
-    we = np.exp(e - s)
-    g = np.stack(
-        [
-            np.sum(dh * we, axis=1),
-            np.sum(dhn, axis=1),
-            -np.sum(dhn * logN, axis=1),
-            np.sum(dhd, axis=1),
-            -np.sum(dhd * logD, axis=1),
-        ],
-        axis=1,
-    )
+    g = np.empty((len(P), 5))
+    dhn = _dh_weight(dh, tn, s, out=tn)
+    dhd = _dh_weight(dh, td, s, out=td)
+    _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
+    _grad_column(g[:, 1], dhn)
+    _grad_column(g[:, 2], np.multiply(dhn, logN, out=s), negate=True)
+    _grad_column(g[:, 3], dhd)
+    _grad_column(g[:, 4], np.multiply(dhd, logD, out=s), negate=True)
     return fv, g
 
 
 # Overflow/invalid arithmetic from diverging starts is expected: the
 # minimizer masks out non-finite objective rows, so it is silenced here.
 
+# Upper bound on rows x points in one kernel call, which bounds the
+# kernel's (rows, n) temporaries however many rows a call holds.
+_CHUNK_ELEMS = 8192
+
+
+def _block_rows(n: int) -> int:
+    """Rows per kernel call on data of n points."""
+    return max(1, _CHUNK_ELEMS // max(n, 1))
+
+
+def _in_blocks(kernel, K: int, block: int, need_grad: bool):
+    """kernel(lo, hi), the kernel on rows lo:hi, over rows 0:K in blocks of
+    at most `block` rows, with the results concatenated. A row's value and
+    gradient do not depend on the block it falls in, as the kernels are
+    elementwise along the rows."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if K <= block:
+            return kernel(0, K)
+        parts = [kernel(lo, min(lo + block, K)) for lo in range(0, K, block)]
+    if not need_grad:
+        return np.concatenate(parts)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
 
 def _shared_objective(fg, data, delta: float, **kw):
-    """`minimize_batch` objective fg(P, need_grad) on data shared by all rows."""
+    """`minimize_batch` objective fg(P, need_grad) on data shared by all rows.
+
+    The rows are evaluated in blocks of at most _CHUNK_ELEMS // n.
+    """
     hp = HuberParams(delta)
+    block = _block_rows(data[0].shape[1])
 
     def objective(P, need_grad=True):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fg(P, *data, hp, need_grad, **kw)
+        return _in_blocks(
+            lambda lo, hi: fg(P[lo:hi], *data, hp, need_grad, **kw), len(P), block, need_grad
+        )
 
     return objective
-
-
-# Upper bound on rows x points in one kernel call of a stacked objective,
-# which bounds the kernel's (rows, n) temporaries however many rows a
-# batched run holds.
-_CHUNK_ELEMS = 8192
 
 
 def _stacked_objective(fg, data, starts: int, delta: float):
@@ -347,28 +395,18 @@ def _stacked_objective(fg, data, starts: int, delta: float):
     `data` holds arrays of shape (R, n), one row per dataset, such as the
     per-point arrays of all points gathered at each bootstrap resample's
     indices; batch row r belongs to dataset r // starts. The rows are
-    evaluated in blocks of at most _CHUNK_ELEMS // n, whose results are
-    concatenated; a row's value and gradient do not depend on the block it
-    falls in, as the kernels are elementwise along the rows.
+    evaluated in blocks of at most _CHUNK_ELEMS // n.
     """
     hp = HuberParams(delta)
-    block = max(1, _CHUNK_ELEMS // data[0].shape[1])
-
-    def kernel(P, owner, need_grad):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fg(P, *(a[owner] for a in data), hp, need_grad)
+    block = _block_rows(data[0].shape[1])
 
     def objective(P, rows, need_grad):
         owner = rows // starts
-        if len(rows) <= block:
-            return kernel(P, owner, need_grad)
-        parts = [
-            kernel(P[k : k + block], owner[k : k + block], need_grad)
-            for k in range(0, len(rows), block)
-        ]
-        if not need_grad:
-            return np.concatenate(parts)
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+        def kernel(lo, hi):
+            return fg(P[lo:hi], *(a.take(owner[lo:hi], axis=0) for a in data), hp, need_grad)
+
+        return _in_blocks(kernel, len(rows), block, need_grad)
 
     return objective
 
@@ -545,20 +583,41 @@ class _Form:
         """The parameter vectors a fit of `data` starts from, one per node of `grid`."""
         return nodes if self.project is None else self.project(data, nodes)
 
-    def result(self, best, obj, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
-        values = {p.field: float(np.exp(v) if p.log else v) for p, v in zip(self.params, best)}
+    def result(self, best, obj, converged, inits, cfg: FitConfig, x_kind: str, n_points: int) -> list:
+        """One fit per row of `best` (m, d), the parameter vectors found, with
+        their objectives and converged flags (m,) and start tuples `inits`.
+
+        The fields are read from whole columns, the log parameters through
+        one np.exp per column, which gives the bits of one np.exp per value.
+        """
+        values = [np.exp(best[:, j]) if p.log else best[:, j] for j, p in enumerate(self.params)]
+        degenerate = np.zeros(len(best), dtype=bool)
+        for p, v in zip(self.params, values):
+            if p.degeneracy:
+                degenerate |= v < DEGENERATE_EPS
+        fields = [p.field for p in self.params]
         units = {s: cfg.rescale.factor(k) for s, k in zip(self.scales, self.kinds(x_kind))}
         if self.x_axis:
             units["x_kind"] = x_kind
-        return self.fit_class(
-            **values,
-            **units,
-            objective=obj,
-            init_used=init,
-            degenerate=any(values[p.field] < DEGENERATE_EPS for p in self.params if p.degeneracy),
-            converged=converged,
-            n_points=n_points,
+        rows = zip(
+            zip(*(v.tolist() for v in values)),
+            np.asarray(obj, dtype=float).tolist(),
+            np.asarray(converged, dtype=bool).tolist(),
+            inits,
+            degenerate.tolist(),
         )
+        return [
+            self.fit_class(
+                **dict(zip(fields, row)),
+                **units,
+                objective=o,
+                init_used=init,
+                degenerate=deg,
+                converged=conv,
+                n_points=n_points,
+            )
+            for row, o, conv, init, deg in rows
+        ]
 
     def run_fitter(self, fitter: Callable, points, cfg: FitConfig, x_kind: str, **options):
         """Call `fitter`, this form's fit_* function, which takes x_kind if x_axis."""
@@ -625,7 +684,8 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     (k,), (found,) = _select_best(P[None], fvals[None])
     if not found:
         raise RuntimeError("all grid minimizations diverged to non-finite objectives")
-    return form.result(P[k], float(fvals[k]), bool(conv[k]), inits[k], cfg, x_kind, len(data[0]))
+    (fit,) = form.result(P[k : k + 1], fvals[k : k + 1], conv[k : k + 1], [inits[k]], cfg, x_kind, len(data[0]))
+    return fit
 
 
 def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:

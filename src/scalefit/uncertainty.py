@@ -132,17 +132,23 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
         for c in range(0, len(members), per_run):
             run = members[c : c + per_run]
             stacked = [a[index[c : c + per_run]] for a in data]
-            inits = [form.starts(tuple(a[j] for a in stacked), nodes) for j in range(len(run))]
+            if form.project is None:  # every resample starts from the grid's nodes
+                inits = [nodes] * len(run)
+                P0 = np.tile(np.array(nodes, dtype=float), (len(run), 1))
+            else:
+                inits = [form.starts(tuple(a[j] for a in stacked), nodes) for j in range(len(run))]
+                P0 = np.array(inits, dtype=float).reshape(len(run) * starts, -1)
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
-            P0 = np.array(inits, dtype=float).reshape(len(run) * starts, -1)
             X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
             best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
-            found &= np.all(started.reshape(len(run), starts), axis=1)
-            for j, i in enumerate(run):
-                if found[j]:
-                    k = best[j]
-                    r = j * starts + k
-                    fits[i] = form.result(X[r], float(f[r]), bool(conv[r]), inits[j][k], cfg, x_kind, n)
+            found &= started.reshape(len(run), starts).all(axis=1)
+            ok = np.flatnonzero(found)
+            r = ok * starts + best[ok]
+            built = form.result(
+                X[r], f[r], conv[r], [inits[j][best[j]] for j in ok], cfg, x_kind, n
+            )
+            for j, fit in zip(ok.tolist(), built):
+                fits[run[j]] = fit
     return fits
 
 
@@ -214,19 +220,18 @@ def bootstrap_fit(
             f"{n_failed}/{bs_cfg.resamples} bootstrap refits failed (> 20%)"
         )
 
-    param_names = list(point_fit.params())
+    params = _FORMS[point_fit.form].params
     grid = list(bs_cfg.curve_grid)
-    param_draws = [[fit.params()[k] for k in param_names] for fit in fits]
+    draws = np.array([[getattr(fit, p.field) for p in params] for fit in fits])
 
     lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
     hi_q = 100.0 - lo_q
-    draws = np.asarray(param_draws)
     param_ci = {
-        name: (
+        p.name: (
             float(np.percentile(draws[:, j], lo_q)),
             float(np.percentile(draws[:, j], hi_q)),
         )
-        for j, name in enumerate(param_names)
+        for j, p in enumerate(params)
     }
     curve_ci = []
     if grid:

@@ -7,6 +7,7 @@ import pytest
 from scalefit import scaling
 from scalefit.numerics import HuberParams, check_gradient
 from scalefit.scaling import (
+    DEGENERATE_EPS,
     FitConfig,
     JointFit,
     PowerLawFit,
@@ -18,6 +19,8 @@ from scalefit.scaling import (
     _power_fg,
     _power_objective,
     _select_best,
+    _shared_objective,
+    _shifted_fg,
     _stacked_objective,
     fit_joint,
     fit_power_law,
@@ -426,6 +429,108 @@ class TestStackedObjective:
         assert np.array_equal(f, f_ref, equal_nan=True)
         assert np.array_equal(g, g_ref, equal_nan=True)
         assert np.array_equal(fg(P, rows, False), f_ref, equal_nan=True)
+
+
+class TestSharedObjective:
+    """The point fits' objective evaluates its rows in blocks of bounded size."""
+
+    @pytest.mark.parametrize("freeze_lambda", [False, True])
+    def test_blocks_match_one_call(self, freeze_lambda):
+        rng = np.random.default_rng(1)
+        n = 50
+        K = 2 * (scaling._CHUNK_ELEMS // n) + 7  # three blocks, the last one short
+        data = (rng.uniform(1e-2, 1e2, (1, n)), np.log(rng.uniform(0.2, 0.9, (1, n))))
+        P = rng.uniform([-1, 0, 0, 0], [1, 5, 2, 2], (K, 4))  # (e, a, alpha, lambda)
+        P[3, 1], P[K - 2, 3] = np.inf, np.nan  # rows whose value is not finite
+        kw = {"freeze_lambda": freeze_lambda}
+        fg = _shared_objective(_shifted_fg, data, 1e-3, **kw)
+        with np.errstate(all="ignore"):
+            f_ref, g_ref = _shifted_fg(P, *data, HuberParams(1e-3), True, **kw)
+        f, g = fg(P)
+        assert not np.isfinite(f[3]) and not np.isfinite(f[K - 2])
+        assert f.tobytes() == f_ref.tobytes() and f.shape == (K,)
+        assert g.tobytes() == g_ref.tobytes() and g.shape == (K, 4)
+        assert fg(P, need_grad=False).tobytes() == f_ref.tobytes()
+
+    def test_wide_grid_first_evaluation_is_bounded(self):
+        # 625 starts on 2,000 points: one kernel call over every row would
+        # hold a dozen (625, 2000) temporaries, about 120 MB. In blocks of
+        # _CHUNK_ELEMS // 2000 = 4 rows the peak stays below 2 MB.
+        tracemalloc = pytest.importorskip("tracemalloc")
+        x = np.logspace(-2, 3, 2000)
+        pts = np.column_stack([x, 0.3 + (x + 3.0) ** -0.4])
+        grid = (0.0, 0.5, 1.0, 1.5, 2.0)
+        cfg = FitConfig(grid_e=grid, grid_a=grid, grid_alpha=grid, grid_lambda=grid, rescale=Rescale(1.0, 1.0, 1.0))
+        form = _FORMS["shifted"]
+        data = form.data(pts, cfg, "flops")
+        fg = _shared_objective(form.fg, [a[None, :] for a in data], cfg.huber.delta)
+        P = np.array(form.grid(cfg), dtype=float)
+        assert P.shape == (625, 4)
+        tracemalloc.start()
+        try:
+            f, g = fg(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (625,) and g.shape == (625, 4)
+        assert peak < 2 * 2**20
+
+
+def reference_result(form, best, obj, converged, init, cfg, x_kind, n_points):
+    """`_Form.result` as it was, one fit from one parameter vector."""
+    values = {p.field: float(np.exp(v) if p.log else v) for p, v in zip(form.params, best)}
+    units = {s: cfg.rescale.factor(k) for s, k in zip(form.scales, form.kinds(x_kind))}
+    if form.x_axis:
+        units["x_kind"] = x_kind
+    return form.fit_class(
+        **values,
+        **units,
+        objective=obj,
+        init_used=init,
+        degenerate=any(values[p.field] < DEGENERATE_EPS for p in form.params if p.degeneracy),
+        converged=converged,
+        n_points=n_points,
+    )
+
+
+class TestFormResult:
+    """`_Form.result` builds from whole columns the fits a row-by-row build gives."""
+
+    @pytest.mark.parametrize("kind", sorted(_FORMS))
+    def test_matches_row_by_row(self, kind):
+        form = _FORMS[kind]
+        rng = np.random.default_rng(7)
+        m, d = 300, len(form.params)
+        best = rng.normal(0.0, 3.0, (m, d))
+        # Values at and around the degeneracy threshold, zero, overflow and NaN.
+        eps = np.log(DEGENERATE_EPS)
+        specials = [eps, np.nextafter(eps, 0), np.nextafter(eps, -np.inf), -np.inf, 800.0, np.nan, -0.0, 0.0]
+        for j in range(d):
+            best[rng.choice(m, 3 * len(specials), replace=False), j] = np.repeat(specials, 3)
+        best[rng.random(m) < 0.1, 2] = DEGENERATE_EPS / 2  # a degenerate alpha
+        obj = rng.uniform(0.0, 1.0, m)
+        obj[::17] = np.nan
+        conv = rng.random(m) < 0.7
+        inits = [tuple(rng.normal(0.0, 1.0, d).tolist()) for _ in range(m)]
+        cfg = FitConfig(rescale=Rescale(2.0, 3.0, 5.0))
+        x_kind = "params" if form.x_axis else "flops"
+        with np.errstate(over="ignore"):
+            got = form.result(best, obj, conv, inits, cfg, x_kind, 42)
+            wants = [
+                reference_result(form, best[i], float(obj[i]), bool(conv[i]), inits[i], cfg, x_kind, 42)
+                for i in range(m)
+            ]
+        assert len(got) == m
+        for fit, want in zip(got, wants):
+            assert type(fit) is type(want)
+            assert repr(fit) == repr(want)
+            for name, value in vars(want).items():
+                assert type(getattr(fit, name)) is type(value), name
+        assert any(fit.degenerate for fit in got) and not all(fit.degenerate for fit in got)
+
+    def test_no_rows(self):
+        form = _FORMS["power"]
+        assert form.result(np.zeros((0, 3)), np.zeros(0), np.zeros(0, bool), [], ID_CFG, "flops", 5) == []
 
 
 class TestSelectBest:
