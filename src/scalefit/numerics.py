@@ -347,21 +347,23 @@ def _bfgs_update(H, s, y, sy):
 
         H - rho (s (Hy)^T + (Hy) s^T) + (rho^2 yHy + rho) s s^T,  rho = 1 / sy.
 
-    Each outer product's element is one product. A tiny s.y can overflow
-    rho or rho^2 yHy; such rows come out non-finite, without a warning.
+    The (d, d) blocks are scaled and summed as rows of d * d elements, the
+    same arithmetic in fewer, longer passes. A tiny s.y can overflow rho or
+    rho^2 yHy; such rows come out non-finite, without a warning.
     """
+    k, d = s.shape
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rho = 1.0 / sy
         Hy = np.einsum("kij,kj->ki", H, y)
         yHy = np.add.reduce(y * Hy, axis=1)
-        sHy = s[:, :, None] * Hy[:, None, :]
-        Hn = sHy + sHy.transpose(0, 2, 1)
-        Hn *= rho[:, None, None]
-        np.subtract(H, Hn, out=Hn)
-        ss = s[:, :, None] * s[:, None, :]
-        ss *= (rho * rho * yHy + rho)[:, None, None]
+        sHy = np.einsum("ki,kj->kij", s, Hy)
+        Hn = (sHy + sHy.transpose(0, 2, 1)).reshape(k, d * d)
+        Hn *= rho[:, None]
+        np.subtract(H.reshape(k, d * d), Hn, out=Hn)
+        ss = np.einsum("ki,kj->kij", s, s).reshape(k, d * d)
+        ss *= (rho * rho * yHy + rho)[:, None]
         Hn += ss
-    return Hn
+    return Hn.reshape(k, d, d)
 
 
 def _fd_gradient(f_only, x: np.ndarray, step: float) -> np.ndarray:
