@@ -346,24 +346,20 @@ def _joint_fg(P, logN, logD, logL, hp, need_grad):
     return fv, g
 
 
-# Overflow/invalid arithmetic from diverging starts is expected: the
-# minimizer masks out non-finite objective rows, so it is silenced here.
-
 # Upper bound on rows x points in one kernel call, which bounds the
 # kernel's (rows, n) temporaries however many rows a call holds.
 _CHUNK_ELEMS = 8192
 
-
-def _block_rows(n: int) -> int:
-    """Rows per kernel call on data of n points."""
-    return max(1, _CHUNK_ELEMS // max(n, 1))
+# Overflow/invalid arithmetic from diverging starts is expected: the
+# minimizer masks out non-finite objective rows, so it is silenced here.
 
 
-def _in_blocks(kernel, K: int, block: int, need_grad: bool):
-    """kernel(lo, hi), the kernel on rows lo:hi, over rows 0:K in blocks of
-    at most `block` rows, with the results concatenated. A row's value and
-    gradient do not depend on the block it falls in, as the kernels are
-    elementwise along the rows."""
+def _in_blocks(kernel, K: int, n: int, need_grad: bool):
+    """kernel(lo, hi), the kernel on rows lo:hi of data of n points, over
+    rows 0:K in blocks of at most _CHUNK_ELEMS // n rows, with the results
+    concatenated. A row's value and gradient do not depend on the block it
+    falls in, as the kernels are elementwise along the rows."""
+    block = max(1, _CHUNK_ELEMS // n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if K <= block:
             return kernel(0, K)
@@ -379,12 +375,13 @@ def _shared_objective(fg, data, delta: float, **kw):
     The rows are evaluated in blocks of at most _CHUNK_ELEMS // n.
     """
     hp = HuberParams(delta)
-    block = _block_rows(data[0].shape[1])
+    n = data[0].shape[1]
 
     def objective(P, need_grad=True):
-        return _in_blocks(
-            lambda lo, hi: fg(P[lo:hi], *data, hp, need_grad, **kw), len(P), block, need_grad
-        )
+        def kernel(lo, hi):
+            return fg(P[lo:hi], *data, hp, need_grad, **kw)
+
+        return _in_blocks(kernel, len(P), n, need_grad)
 
     return objective
 
@@ -398,7 +395,7 @@ def _stacked_objective(fg, data, starts: int, delta: float):
     evaluated in blocks of at most _CHUNK_ELEMS // n.
     """
     hp = HuberParams(delta)
-    block = _block_rows(data[0].shape[1])
+    n = data[0].shape[1]
 
     def objective(P, rows, need_grad):
         owner = rows // starts
@@ -406,7 +403,7 @@ def _stacked_objective(fg, data, starts: int, delta: float):
         def kernel(lo, hi):
             return fg(P[lo:hi], *(a.take(owner[lo:hi], axis=0) for a in data), hp, need_grad)
 
-        return _in_blocks(kernel, len(rows), block, need_grad)
+        return _in_blocks(kernel, len(rows), n, need_grad)
 
     return objective
 
@@ -583,7 +580,7 @@ class _Form:
         """The parameter vectors a fit of `data` starts from, one per node of `grid`."""
         return nodes if self.project is None else self.project(data, nodes)
 
-    def result(self, best, obj, converged, inits, cfg: FitConfig, x_kind: str, n_points: int) -> list:
+    def result(self, best, obj, converged, inits, cfg: FitConfig, x_kind: str, n_points: int):
         """One fit per row of `best` (m, d), the parameter vectors found, with
         their objectives and converged flags (m,) and start tuples `inits`.
 
@@ -684,7 +681,8 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     (k,), (found,) = _select_best(P[None], fvals[None])
     if not found:
         raise RuntimeError("all grid minimizations diverged to non-finite objectives")
-    (fit,) = form.result(P[k : k + 1], fvals[k : k + 1], conv[k : k + 1], [inits[k]], cfg, x_kind, len(data[0]))
+    one = slice(k, k + 1)
+    (fit,) = form.result(P[one], fvals[one], conv[one], [inits[k]], cfg, x_kind, len(data[0]))
     return fit
 
 
