@@ -144,9 +144,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
             found &= started.reshape(len(run), starts).all(axis=1)
             ok = np.flatnonzero(found)
             r = ok * starts + best[ok]
-            built = form.result(
-                X[r], f[r], conv[r], [inits[j][best[j]] for j in ok], cfg, x_kind, n
-            )
+            built = form.result(X[r], f[r], conv[r], [inits[j][best[j]] for j in ok], cfg, x_kind, n)
             for j, fit in zip(ok.tolist(), built):
                 fits[run[j]] = fit
     return fits

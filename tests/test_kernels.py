@@ -249,7 +249,12 @@ class TestKernelsMatchReference:
         P, arrays = draw_case(data, kind)
         assert_kernel_matches(kind, P, arrays, delta)
 
-    @given(st.sampled_from(sorted(KERNELS)), st.sampled_from(DELTAS), st.sampled_from([1.0, -1.0]), st.data())
+    @given(
+        st.sampled_from(sorted(KERNELS)),
+        st.sampled_from(DELTAS),
+        st.sampled_from([1.0, -1.0]),
+        st.data(),
+    )
     @settings(max_examples=200, deadline=None)
     def test_residuals_at_the_knees(self, kind, delta, sign, data):
         # Stacked data, one row per parameter row, whose residuals are +-delta.
