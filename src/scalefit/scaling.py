@@ -250,8 +250,9 @@ def _distinct(V: np.ndarray) -> np.ndarray:
 # arrays of shape (1, n), shared by every row, or (K, n), one row of data
 # per parameter row. Returns values (K,), and gradients (K, d) if need_grad.
 # The kernels form their (K, n) temporaries in place and reduce each
-# gradient column straight into its column of the result; every product
-# keeps its operand order, so NaNs carry the same payloads.
+# gradient column straight into its column of the result. Every product
+# keeps the operand order of the plain expression it stands for, as the
+# operand order decides which NaN payload a product of two NaNs carries.
 
 
 def _residual_parts(s, logL, hp):
