@@ -44,6 +44,77 @@ def power_points(E, A, alpha, x_lo=-2, x_hi=2, n=30, sigma=0.0, seed=0):
     return gen_curve_points(g)
 
 
+class TestPointChecks:
+    """Every form checks its points in one order: shape, then x_kind (forms in
+    one resource x only), then values, then the counts rules."""
+
+    SHAPE = {
+        "power": r"^points must have shape \(n, 2\) of \(X, L\)$",
+        "shifted": r"^points must have shape \(n, 2\) of \(X, L\)$",
+        "joint": r"^points must have shape \(n, 3\) of \(N, D, L\)$",
+    }
+
+    def points(self, kind):
+        if kind == "joint":
+            return TestFitJoint().joint_points()
+        return power_points(0.3, 0.5, 0.2, n=8)
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE))
+    @pytest.mark.parametrize("shape", ["flat", "fewer columns", "more columns", "3-d"])
+    def test_shape_message(self, kind, shape):
+        pts = self.points(kind)
+        bad = {
+            "flat": pts[:, 0],
+            "fewer columns": pts[:, :-1],
+            "more columns": np.column_stack([pts, pts[:, -1]]),
+            "3-d": pts[None],
+        }[shape]
+        with pytest.raises(ValueError, match=self.SHAPE[kind]):
+            _FORMS[kind].data(bad, ID_CFG, "flops")
+
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_shifted_power_law])
+    def test_unknown_x_kind(self, fit):
+        with pytest.raises(ValueError, match=r"^unknown x_kind 'tokens'$"):
+            fit(self.points("power"), ID_CFG, x_kind="tokens")
+
+    def test_joint_ignores_x_kind(self):
+        pts = self.points("joint")
+        want = _FORMS["joint"].data(pts, ID_CFG, "flops")
+        for x_kind in ("tokens", "params", ""):
+            got = _FORMS["joint"].data(pts, ID_CFG, x_kind)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE))
+    def test_shape_before_x_kind_and_values(self, kind):
+        pts = self.points(kind)
+        pts[2, 0] = np.nan
+        with pytest.raises(ValueError, match=self.SHAPE[kind]):
+            _FORMS[kind].data(pts[:, 1:], ID_CFG, "tokens")
+
+    @pytest.mark.parametrize("kind", ["power", "shifted"])
+    def test_x_kind_before_values(self, kind):
+        pts = self.points(kind)
+        pts[2, 0], pts[3, 1] = -1.0, np.inf
+        with pytest.raises(ValueError, match=r"^unknown x_kind 'tokens'$"):
+            _FORMS[kind].data(pts, ID_CFG, "tokens")
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("power", "^X values must be positive, got -1.0$"),
+            ("shifted", "^X values must be positive, got -1.0$"),
+            ("joint", "^N values must be positive, got -1.0$"),
+        ],
+    )
+    def test_values_before_counts(self, kind, message):
+        # Two points, the first resource of one negative: short of every
+        # counts rule, but the value is named first.
+        pts = self.points(kind)[:2]
+        pts[1, 0] = -1.0
+        with pytest.raises(ValueError, match=message):
+            _FORMS[kind].data(pts, ID_CFG, "flops")
+
+
 class TestFitPowerLaw:
     def test_recovers_neural_curve(self):
         # saturating curve, plateau 0.52 in misalignment terms
