@@ -11,7 +11,7 @@ Run it on two source trees and diff the two outputs. Each line is
 - every field of its point fit;
 - for a bootstrap case, ``param_ci``, ``curve_ci`` and ``n_failed_resamples``;
 - ``minimize_batch``'s X, f, iterations, converged and grad_norm from the
-  point fit's whole start grid, as the fit runs them.
+  point fit's whole start grid, recorded from the fit's own call.
 
 Floats enter by their bytes (arrays) or their ``repr`` (Python floats), so
 two equal digests mean bit-identical results. The cases:
@@ -22,13 +22,17 @@ two equal digests mean bit-identical results. The cases:
   1001-1010;
 - joint fits of ten truths drawn as the ``joint_fit`` workload draws them;
 - the truths of acceptance tests 3, 6 and 10, test 10's regions with noise
-  seed ``zlib.crc32(region) % 1000``.
+  seed ``zlib.crc32(region) % 1000``;
+- a shifted fit with ``freeze_lambda=True``;
+- a 1,000-resample joint warm bootstrap on the ``joint_fit`` workload's
+  10 x 10 grid, whose (E, A, B) projection spans several blocks of rows.
 
 All inputs are built with ``scalefit.synth``; nothing here reads ``bench/``.
-The whole list runs in about ten seconds.
+The whole list runs in about seven seconds on a 2-vCPU Xeon.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import warnings
@@ -36,10 +40,10 @@ import zlib
 
 import numpy as np
 
-from scalefit.numerics import minimize_batch
-from scalefit.scaling import _FORMS, FitConfig, Rescale, _shared_objective
+from scalefit import scaling
+from scalefit.scaling import FitConfig, Rescale, fit_joint, fit_power_law, fit_shifted_power_law
 from scalefit.synth import CurveGenerator, gen_curve_points
-from scalefit.uncertainty import BootstrapConfig, _fit_once, bootstrap_fit
+from scalefit.uncertainty import BootstrapConfig, bootstrap_fit
 
 ID_CFG = FitConfig(rescale=Rescale(1.0, 1.0, 1.0))
 SMALL_CFG = FitConfig(
@@ -100,8 +104,11 @@ TEST10_TRUTHS = {
 }
 
 
+FITTERS = {"power": fit_power_law, "shifted": fit_shifted_power_law, "joint": fit_joint}
+
+
 def cases():
-    """(name, points, fit kind, FitConfig, bootstrap arguments or None)."""
+    """(name, points, fit kind, FitConfig, bootstrap arguments or None, fit options)."""
     sparse, sparse_clusters = sparse_joint()
     unequal = np.repeat(np.arange(8), [1, 2, 3, 4, 5, 4, 3, 3])
     batched = [
@@ -119,33 +126,42 @@ def cases():
     for name, pts, kind, cfg, resamples, warm, clusters in batched:
         grid = ((1.0, 1.0), (10.0, 30.0), (300.0, 5.0)) if kind == "joint" else (0.1, 1.0, 10.0)
         bs = BootstrapConfig(resamples=resamples, seed=11, curve_grid=grid)
-        yield f"batched/{name}", pts, kind, cfg, (bs, warm, clusters)
+        yield f"batched/{name}", pts, kind, cfg, (bs, warm, clusters), {}
 
     warm_pts = power_points(n=60, seed=2, lo=-3, hi=3)
     x = warm_pts[:, 0]
     band = tuple(np.logspace(np.log10(x.min()), np.log10(x.max()), 25))
     for seed in range(1001, 1011):
         bs = BootstrapConfig(resamples=1000, seed=seed, curve_grid=band)
-        yield f"bootstrap_warm/{seed}", warm_pts, "power", ID_CFG, (bs, True, None)
+        yield f"bootstrap_warm/{seed}", warm_pts, "power", ID_CFG, (bs, True, None), {}
 
     for seed in range(1, 11):
-        rng = np.random.default_rng(seed)
-        truth = {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in JOINT_RANGES.items()}
-        yield f"joint_fit/{seed}", joint_points(truth, side=10, sigma=0.0), "joint", ID_CFG, None
+        yield f"joint_fit/{seed}", joint_points(joint_truth(seed), side=10, sigma=0.0), "joint", ID_CFG, None, {}
 
     test3 = {"E": 0.3, "A": 1.0, "alpha": 0.34, "B": 2.0, "beta": 0.28}
-    yield "test03", joint_points(test3, side=10, sigma=0.0), "joint", ID_CFG, None
+    yield "test03", joint_points(test3, side=10, sigma=0.0), "joint", ID_CFG, None, {}
     bs = BootstrapConfig(resamples=50, seed=9, curve_grid=(0.1, 1.0, 10.0))
-    yield "test06/determinism", power_points(), "power", ID_CFG, (bs, True, None)
+    yield "test06/determinism", power_points(), "power", ID_CFG, (bs, True, None), {}
     for rep in range(5):
         bs = BootstrapConfig(resamples=200, seed=rep)
-        yield f"test06/coverage-{rep}", power_points(seed=1000 + rep), "power", ID_CFG, (bs, True, None)
+        yield f"test06/coverage-{rep}", power_points(seed=1000 + rep), "power", ID_CFG, (bs, True, None), {}
     for region, (E, A, alpha) in TEST10_TRUTHS.items():
         pts = power_points(
             n=30, sigma=0.01, seed=zlib.crc32(region.encode()) % 1000,
             truth={"E": E, "A": A, "alpha": alpha},
         )
-        yield f"test10/{region}", pts, "power", ID_CFG, None
+        yield f"test10/{region}", pts, "power", ID_CFG, None, {}
+
+    yield "shifted-frozen", shifted_points(), "shifted", ID_CFG, None, {"freeze_lambda": True}
+    bs = BootstrapConfig(resamples=1000, seed=23, curve_grid=((1.0, 1.0), (10.0, 30.0), (300.0, 5.0)))
+    pts = joint_points(joint_truth(1), side=10, sigma=0.02, seed=1)
+    yield "joint_fit-warm-bootstrap/1", pts, "joint", ID_CFG, (bs, True, None), {}
+
+
+def joint_truth(seed):
+    """A truth drawn as the joint_fit workload draws its jobs' truths."""
+    rng = np.random.default_rng(seed)
+    return {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in JOINT_RANGES.items()}
 
 
 def _feed(h, value):
@@ -157,37 +173,47 @@ def _feed(h, value):
     h.update(b"\0")
 
 
-def start_grid_outputs(points, kind, cfg):
-    """minimize_batch's outputs from the fit's whole start grid, as `scaling._fit` runs it."""
-    form = _FORMS[kind]
-    data = form.data(points, cfg, "flops")
-    fg = _shared_objective(form.fg, [a[None, :] for a in data], cfg.huber.delta)
-    inits = form.starts(data, form.grid(cfg))
-    return minimize_batch(fg, np.array(inits, dtype=float), cfg.optimizer)
+@contextlib.contextmanager
+def recorded_start_grids():
+    """A list that collects the outputs of every `minimize_batch` call
+    `scaling._fit` makes while the context is open: one per point fit, from
+    its whole start grid."""
+    outputs, real = [], scaling.minimize_batch
+
+    def record(fg, x0, cfg):
+        outputs.append(real(fg, x0, cfg))
+        return outputs[-1]
+
+    scaling.minimize_batch = record
+    try:
+        yield outputs
+    finally:
+        scaling.minimize_batch = real
 
 
-def digest(points, kind, cfg, bootstrap) -> str:
+def digest(points, kind, cfg, bootstrap, options) -> str:
     h = hashlib.sha256()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), recorded_start_grids() as start_grids:
         warnings.simplefilter("ignore")
         if bootstrap is None:
-            fit = _fit_once(points, kind, cfg, "flops")
+            fit = FITTERS[kind](points, cfg, **options)
         else:
             bs, warm, clusters = bootstrap
             res = bootstrap_fit(points, kind, cfg, bs, warm_start=warm, cluster_ids=clusters)
             fit = res.point_estimate
             for value in (sorted(res.param_ci.items()), res.curve_ci, res.n_failed_resamples):
                 _feed(h, value)
-        for f in dataclasses.fields(fit):
-            _feed(h, (f.name, getattr(fit, f.name)))
-        for array in start_grid_outputs(points, kind, cfg):
-            _feed(h, array)
+    for f in dataclasses.fields(fit):
+        _feed(h, (f.name, getattr(fit, f.name)))
+    (start_grid,) = start_grids  # the point fit's; the resample runs call `_bfgs_rows`
+    for array in start_grid:
+        _feed(h, array)
     return h.hexdigest()
 
 
 def main() -> int:
-    for name, points, kind, cfg, bootstrap in cases():
-        print(name, digest(points, kind, cfg, bootstrap), flush=True)
+    for name, points, kind, cfg, bootstrap, options in cases():
+        print(name, digest(points, kind, cfg, bootstrap, options), flush=True)
     return 0
 
 
