@@ -172,12 +172,12 @@ def _clean_L(L: np.ndarray) -> np.ndarray:
     return L
 
 
-# Each form reads its points in three steps: `parse` checks their shape and
-# signs and returns the resource columns and L, each of shape (n,); the
+# Each form reads its points in three steps: `_Form.read` checks their shape
+# and signs and returns the resource columns and L, each of shape (n,); the
 # form's `counts` rules check how many points and distinct resource values
-# they hold; and `arrays` turns them into the per-point arrays its objective
-# reads. A subset of valid points passes `parse`, so only `counts` can fail
-# a bootstrap resample.
+# they hold; and `_Form.data` turns them into the per-point arrays its
+# objective reads. A subset of valid points passes `read`, so only `counts`
+# can fail a bootstrap resample.
 
 
 def _check_values(resources: dict, L):
@@ -190,41 +190,6 @@ def _check_values(resources: dict, L):
     bad = L[~np.isfinite(L)]
     if bad.size:
         raise ValueError(f"L values must be finite, got {float(bad[0])}")
-
-
-def _xl_columns(points, x_kind):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (n, 2) of (X, L)")
-    X, L = pts[:, 0], pts[:, 1]
-    if x_kind not in X_KINDS:
-        raise ValueError(f"unknown x_kind {x_kind!r}")
-    _check_values({"X": X}, L)
-    return (X,), L
-
-
-def _nd_columns(points, x_kind):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (n, 3) of (N, D, L)")
-    N, D, L = pts[:, 0], pts[:, 1], pts[:, 2]
-    _check_values({"N": N, "D": D}, L)
-    return (N, D), L
-
-
-def _power_arrays(resources, L, cfg: FitConfig, x_kind: str):
-    (X,) = resources
-    return np.log(X / cfg.rescale.factor(x_kind)), np.log(L)
-
-
-def _shifted_arrays(resources, L, cfg: FitConfig, x_kind: str):
-    (X,) = resources
-    return X / cfg.rescale.factor(x_kind), np.log(L)
-
-
-def _joint_arrays(resources, L, cfg: FitConfig, x_kind: str):
-    N, D = resources
-    return np.log(N / cfg.rescale.n_scale), np.log(D / cfg.rescale.d_scale), np.log(L)
 
 
 @dataclass(frozen=True)
@@ -277,73 +242,62 @@ def _dh_weight(dh, t, s, out):
     return np.multiply(dh, out, out=out)
 
 
-def _power_grad(g, dh, t, e, s, logX):
-    """The (e, a, alpha) gradient columns of s = logaddexp(t, e) with
-    t = a - alpha logX, into g[:, :3]. Overwrites t with dh w, which it
-    returns, and s."""
-    dhw = _dh_weight(dh, t, s, out=t)
-    _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
-    _grad_column(g[:, 1], dhw)
-    _grad_column(g[:, 2], np.multiply(dhw, logX, out=s), negate=True)
-    return dhw
+def _power_terms(P, logX, logL, hp, need_grad):
+    """The loss of s = logaddexp(logaddexp(t_1, t_2, ...), e) with power
+    terms t_j = a_j - alpha_j logX[j], P's columns being e, then a_j and
+    alpha_j per term.
 
-
-def _power_fg(P, logX, logL, hp, need_grad):
-    e, a, al = P[:, 0:1], P[:, 1:2], P[:, 2:3]
-    t = np.multiply(al, logX)
-    np.subtract(a, t, out=t)
-    s = _logaddexp(t, e)
+    Returns values (K,), or, if need_grad, (values, g, dhw): g (K, d) holds
+    the gradient columns e, then (a_j, alpha_j) per term, its columns past
+    those left for the caller; dhw holds each term's dh exp(t_j - s).
+    """
+    e = P[:, 0:1]
+    terms = []
+    for j, logXj in enumerate(logX):
+        t = np.multiply(P[:, 2 + 2 * j : 3 + 2 * j], logXj)
+        terms.append(np.subtract(P[:, 1 + 2 * j : 2 + 2 * j], t, out=t))
+    s = terms[0]
+    for t in terms[1:]:
+        s = _logaddexp(s, t)
+    s = _logaddexp(s, e)
     fv, dh = _residual_parts(s, logL, hp)
     if not need_grad:
         return fv
-    g = np.empty((len(P), 3))
-    _power_grad(g, dh, t, e, s, logX)
-    return fv, g
+    g = np.empty(P.shape)
+    dhw = [_dh_weight(dh, t, s, out=t) for t in terms]
+    _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
+    for j, (w, logXj) in enumerate(zip(dhw, logX)):
+        _grad_column(g[:, 1 + 2 * j], w)
+        _grad_column(g[:, 2 + 2 * j], np.multiply(w, logXj, out=s), negate=True)
+    return fv, g, dhw
+
+
+def _power_fg(P, *args):
+    """The kernel of E plus power terms, called as fg(P, logX_1, ..., logL, hp,
+    need_grad): one term for the power form, (N, D) for the joint form."""
+    *logX, logL, hp, need_grad = args
+    out = _power_terms(P, logX, logL, hp, need_grad)
+    return out[:2] if need_grad else out
 
 
 _LN10 = np.log(10.0)
 
 
 def _shifted_fg(P, X, logL, hp, need_grad, freeze_lambda=False):
-    e, a, al, lam = P[:, 0:1], P[:, 1:2], P[:, 2:3], P[:, 3:4]
+    """The power kernel on log(X + 10^lambda), with lambda's gradient column."""
+    al, lam = P[:, 2:3], P[:, 3:4]
     shift = np.power(10.0, lam)
     Xs = np.add(X, shift)
-    logXs = np.log(Xs)
-    t = np.multiply(al, logXs)
-    np.subtract(a, t, out=t)
-    s = _logaddexp(t, e)
-    fv, dh = _residual_parts(s, logL, hp)
+    out = _power_terms(P, [np.log(Xs)], logL, hp, need_grad)
     if not need_grad:
-        return fv
-    g = np.empty((len(P), 4))
-    dhw = _power_grad(g, dh, t, e, s, logXs)
+        return out
+    fv, g, (dhw,) = out
     if freeze_lambda:
         g[:, 3] = 0.0
     else:
         np.multiply(dhw, al, out=dhw)
         dhw *= shift * _LN10
         _grad_column(g[:, 3], np.divide(dhw, Xs, out=dhw), negate=True)
-    return fv, g
-
-
-def _joint_fg(P, logN, logD, logL, hp, need_grad):
-    e, a, al, b, be = (P[:, i : i + 1] for i in range(5))
-    tn = np.multiply(al, logN)
-    np.subtract(a, tn, out=tn)
-    td = np.multiply(be, logD)
-    np.subtract(b, td, out=td)
-    s = _logaddexp(_logaddexp(tn, td), e)
-    fv, dh = _residual_parts(s, logL, hp)
-    if not need_grad:
-        return fv
-    g = np.empty((len(P), 5))
-    dhn = _dh_weight(dh, tn, s, out=tn)
-    dhd = _dh_weight(dh, td, s, out=td)
-    _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
-    _grad_column(g[:, 1], dhn)
-    _grad_column(g[:, 2], np.multiply(dhn, logN, out=s), negate=True)
-    _grad_column(g[:, 3], dhd)
-    _grad_column(g[:, 4], np.multiply(dhd, logD, out=s), negate=True)
     return fv, g
 
 
@@ -462,26 +416,28 @@ def _nonneg_lstsq(U: np.ndarray) -> np.ndarray:
     return best
 
 
-def _joint_project(data, nodes) -> list:
-    """Joint starts (e, a, alpha, b, beta), one per (alpha, beta) node.
+def _joint_project(data, nodes) -> np.ndarray:
+    """Joint starts (e, a, alpha, b, beta), one row per node of each dataset.
 
+    `data` holds the per-point arrays of R datasets, each of shape (R, n);
+    row r * len(nodes) + k starts dataset r at its k-th (alpha, beta) node.
     At fixed exponents L = E + A N^-alpha + B D^-beta is linear in (E, A,
-    B), which are solved by nonnegative least squares on residuals
-    relative to L; a zero coefficient starts at _COEF_FLOOR.
+    B), which are solved by nonnegative least squares on residuals relative
+    to L; a zero coefficient starts at _COEF_FLOOR. The rows are solved in
+    blocks of at most _CHUNK_ELEMS // n, each independently of its block.
     """
-    logN, logD, logL = data
+    R, n = data[0].shape
     alpha, beta = np.array(nodes, dtype=float).T
-    with np.errstate(over="ignore"):
-        U = np.stack(
-            [
-                np.broadcast_to(np.exp(-logL), (len(alpha), len(logL))),
-                np.exp(-alpha[:, None] * logN - logL),
-                np.exp(-beta[:, None] * logD - logL),
-            ],
-            axis=1,
-        )
-    e, a, b = np.log(np.maximum(_nonneg_lstsq(U), _COEF_FLOOR)).T
-    return [tuple(map(float, row)) for row in zip(e, a, alpha, b, beta)]
+    owner, node = np.divmod(np.arange(R * len(alpha)), len(alpha))
+
+    def solve(lo, hi):
+        lN, lD, lL = (x.take(owner[lo:hi], axis=0) for x in data)
+        k = node[lo:hi, None]
+        U = np.stack([np.exp(-lL), np.exp(-alpha[k] * lN - lL), np.exp(-beta[k] * lD - lL)], axis=1)
+        return _nonneg_lstsq(U)
+
+    e, a, b = np.log(np.maximum(_in_blocks(solve, len(owner), n, False), _COEF_FLOOR)).T
+    return np.column_stack([e, a, alpha[node], b, beta[node]])
 
 
 @dataclass(frozen=True)
@@ -517,12 +473,15 @@ _COLUMN_KINDS = {"n": "params", "d": "samples"}
 class _Form:
     """Everything that sets one curve form apart, for fitting, bootstrap and CLI.
 
-    A fit's parameter vector holds `params` in order, the log ones as
-    logarithms. Its start grid is the product of their axes, or, for a form
-    with `project`, of the other parameters' axes only: the log parameters
-    are then linear coefficients, solved at each node. The form's
-    fit class records the rescale divisor of each resource column in the
-    matching `scales` field, and a form in one resource x also its x_kind.
+    The forms differ in their columns, parameters, counts rules and
+    kernel; the point checks, the per-point arrays and the starts are
+    written once, from those. A fit's parameter vector holds `params` in
+    order, the log ones as logarithms. Its start grid is the product of
+    their axes, or, for a form with `project`, of the other parameters'
+    axes only: the log parameters are then linear coefficients, solved at
+    each node. The form's fit class records the rescale divisor of each
+    resource column in the matching `scales` field, and a form in one
+    resource x also its x_kind.
     """
 
     fit_class: type
@@ -530,12 +489,11 @@ class _Form:
     params: tuple  # _Param per parameter-vector entry
     columns: tuple  # input columns: the resources, then l
     scales: tuple  # fit-class field per resource column
-    parse: Callable  # (points, x_kind) -> (resource columns, L); validates
     counts: tuple  # _Count rules the points must meet, checked in order
-    arrays: Callable  # (resource columns, L, cfg, x_kind) -> per-point arrays
     fg: Callable  # (P, *data, hp, need_grad) -> values[, gradients]
     options: tuple = ()  # keyword options of the fit_* function beyond x_kind
-    project: Callable | None = None  # (data, nodes) -> one start per node
+    project: Callable | None = None  # (data, nodes) -> (R * nodes, d) starts
+    raw: bool = False  # fg reads the rescaled resources themselves, not their logs
 
     @property
     def resources(self) -> tuple:
@@ -551,17 +509,37 @@ class _Form:
         """The resource kind of each resource column."""
         return tuple(_COLUMN_KINDS.get(c, x_kind) for c in self.resources)
 
+    def read(self, points, x_kind: str):
+        """(resource columns, L) of `points`, each of shape (n,).
+
+        Checks, in order, the shape (n, len(columns)), the x_kind of a form
+        in one resource x, and the values (`_check_values`); the columns
+        are named by their upper-cased `columns` entries.
+        """
+        names = [c.upper() for c in self.columns]
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != len(names):
+            raise ValueError(f"points must have shape (n, {len(names)}) of ({', '.join(names)})")
+        if self.x_axis and x_kind not in X_KINDS:
+            raise ValueError(f"unknown x_kind {x_kind!r}")
+        *resources, L = pts.T
+        _check_values(dict(zip(names, resources)), L)
+        return resources, L
+
     def data(self, points, cfg: FitConfig, x_kind: str) -> tuple:
-        """The per-point arrays of `points` that `fg` reads, each of shape (n,).
+        """The per-point arrays of `points` that `fg` reads, each of shape (n,):
+        each resource divided by its kind's rescale factor, as its log unless
+        `raw`, then log L.
 
         Raises the ValueError the form's fit_* function documents for points
         it rejects; clamps L at L_FLOOR, with a warning.
         """
-        resources, L = self.parse(points, x_kind)
+        resources, L = self.read(points, x_kind)
         for rule, short in zip(self.counts, self.count_faults([c[None, :] for c in resources])):
             if short[0]:
                 raise ValueError(rule.message)
-        return self.arrays(resources, _clean_L(L), cfg, x_kind)
+        scaled = [c / cfg.rescale.factor(k) for c, k in zip(resources, self.kinds(x_kind))]
+        return (*(scaled if self.raw else map(np.log, scaled)), np.log(_clean_L(L)))
 
     def count_faults(self, resources) -> list:
         """Per `counts` rule, which of R datasets fall short of it.
@@ -577,9 +555,17 @@ class _Form:
         axes = (p.axis(cfg) for p in self.params if self.project is None or not p.log)
         return list(itertools.product(*axes))
 
-    def starts(self, data, nodes: list) -> list:
-        """The parameter vectors a fit of `data` starts from, one per node of `grid`."""
-        return nodes if self.project is None else self.project(data, nodes)
+    def starts(self, data, nodes: list):
+        """(P0, inits): the parameter vectors the fits of R datasets start from,
+        one per node of `grid` each, as rows of P0 (R * len(nodes), d) and,
+        per dataset, as a list of tuples. `data` holds the datasets' per-point
+        arrays, each of shape (R, n); a form with `project` solves every node
+        of every dataset in one call."""
+        if self.project is None:
+            return np.tile(np.array(nodes, dtype=float), (len(data[0]), 1)), [nodes] * len(data[0])
+        P0 = self.project(data, nodes)
+        rows = list(map(tuple, P0.tolist()))
+        return P0, [rows[i : i + len(nodes)] for i in range(0, len(rows), len(nodes))]
 
     def result(self, best, obj, converged, inits, cfg: FitConfig, x_kind: str, n_points: int):
         """One fit per row of `best` (m, d), the parameter vectors found, with
@@ -634,19 +620,17 @@ _FORMS = {
     "power": _Form(
         PowerLawFit, "fit_power_law",
         params=(_E, _A, _ALPHA), columns=("x", "l"), scales=("x_scale",),
-        parse=_xl_columns, counts=_X_COUNTS, arrays=_power_arrays, fg=_power_fg,
+        counts=_X_COUNTS, fg=_power_fg,
     ),
     "shifted": _Form(
         ShiftedPowerLawFit, "fit_shifted_power_law",
         params=(_E, _A, _ALPHA, _LAMBDA), columns=("x", "l"), scales=("x_scale",),
-        parse=_xl_columns, counts=_X_COUNTS, arrays=_shifted_arrays, fg=_shifted_fg,
-        options=("freeze_lambda",),
+        counts=_X_COUNTS, fg=_shifted_fg, options=("freeze_lambda",), raw=True,
     ),
     "joint": _Form(
         JointFit, "fit_joint",
         params=(_E, _A, _ALPHA, _B, _BETA), columns=("n", "d", "l"), scales=("n_scale", "d_scale"),
-        parse=_nd_columns, counts=_ND_COUNTS, arrays=_joint_arrays, fg=_joint_fg,
-        project=_joint_project,
+        counts=_ND_COUNTS, fg=_power_fg, project=_joint_project,
     ),
 }
 
@@ -677,8 +661,8 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     data = form.data(points, cfg, x_kind)
     shared = [a[None, :] for a in data]
     fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
-    inits = form.starts(data, form.grid(cfg))
-    P, fvals, _, conv, _ = minimize_batch(fg, np.array(inits, dtype=float), cfg.optimizer)
+    P0, (inits,) = form.starts(shared, form.grid(cfg))
+    P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
     (k,), (found,) = _select_best(P[None], fvals[None])
     if not found:
         raise RuntimeError("all grid minimizations diverged to non-finite objectives")

@@ -116,7 +116,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     """
     form = _FORMS[fit_kind]
     data = form.data(points, cfg, x_kind)
-    resources, _ = form.parse(points, x_kind)
+    resources, _ = form.read(points, x_kind)
     nodes = form.grid(cfg)
     starts = len(nodes)
     per_run = max(1, _RUN_ROWS // starts)
@@ -132,12 +132,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
         for c in range(0, len(members), per_run):
             run = members[c : c + per_run]
             stacked = [a[index[c : c + per_run]] for a in data]
-            if form.project is None:  # every resample starts from the grid's nodes
-                inits = [nodes] * len(run)
-                P0 = np.tile(np.array(nodes, dtype=float), (len(run), 1))
-            else:
-                inits = [form.starts(tuple(a[j] for a in stacked), nodes) for j in range(len(run))]
-                P0 = np.array(inits, dtype=float).reshape(len(run) * starts, -1)
+            P0, inits = form.starts(stacked, nodes)
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
             X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
             best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalefit.numerics import HuberParams, _huber_parts, _logaddexp
-from scalefit.scaling import _joint_fg, _power_fg, _shifted_fg
+from scalefit.scaling import _power_fg, _shifted_fg
 
 
 def reference_huber_parts(r, delta: float):
@@ -173,7 +173,7 @@ KERNELS = {
     "shifted-frozen": (
         _shifted_fg, reference_shifted_fg, 4, ("pos", "logl"), {"freeze_lambda": True}
     ),
-    "joint": (_joint_fg, reference_joint_fg, 5, ("log", "log", "logl"), {}),
+    "joint": (_power_fg, reference_joint_fg, 5, ("log", "log", "logl"), {}),
 }
 PARAM_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300]
 DATA_DRAWS = {

@@ -347,7 +347,7 @@ class TestJointProjection:
     def project(self, node, **truth):
         """exp of the solved (e, a, b) at the (alpha, beta) node, on a truth's points."""
         pts = TestFitJoint().joint_points(**truth)
-        data = _FORMS["joint"].data(pts, ID_CFG, "flops")
+        data = [a[None, :] for a in _FORMS["joint"].data(pts, ID_CFG, "flops")]
         (e, a, alpha, b, beta), = _joint_project(data, [node])
         assert (alpha, beta) == node
         return np.exp([e, a, b])
@@ -373,7 +373,59 @@ class TestJointProjection:
         data = _FORMS["joint"].data(TestFitJoint().joint_points(), cfg, "flops")
         nodes = _FORMS["joint"].grid(cfg)
         assert nodes == list(itertools.product(cfg.grid_alpha, cfg.grid_beta))
-        assert [(s[2], s[4]) for s in _FORMS["joint"].starts(data, nodes)] == nodes
+        P0, (starts,) = _FORMS["joint"].starts([a[None, :] for a in data], nodes)
+        assert [(s[2], s[4]) for s in starts] == nodes
+        assert P0.tolist() == [list(s) for s in starts]
+
+    def resampled(self, resamples, side=10, seed=0):
+        """The per-point arrays of noisy joint points on a side x side grid,
+        gathered at `resamples` bootstrap draws: arrays (resamples, side**2)."""
+        g = CurveGenerator(
+            form="joint",
+            true_params={"E": 0.3, "A": 1.0, "alpha": 0.34, "B": 2.0, "beta": 0.28},
+            n_grid=tuple(np.logspace(0, 3, side)),
+            d_grid=tuple(np.logspace(0, 3, side)),
+            noise_sigma_log=0.02,
+            seed=seed,
+        )
+        data = _FORMS["joint"].data(gen_curve_points(g), ID_CFG, "flops")
+        n = len(data[0])
+        index = np.random.default_rng(seed).integers(0, n, (resamples, n))
+        return [a[index] for a in data]
+
+    def test_stacked_datasets_match_one_at_a_time(self):
+        # 60 datasets x 5 nodes = 300 rows of 100 points: four blocks of
+        # _CHUNK_ELEMS // 100 = 81 rows, so blocks split datasets' nodes.
+        stacked = self.resampled(60)
+        nodes = [(0.34, 0.28), (0.0, 0.5), (1.0, 0.0), (2.0, 2.0), (0.2, 0.7)]
+        assert len(nodes) * 60 > 3 * (scaling._CHUNK_ELEMS // 100)
+        P = _joint_project(stacked, nodes)
+        assert P.shape == (300, 5)
+        for r in range(60):
+            one = _joint_project([a[r : r + 1] for a in stacked], nodes)
+            assert one.tobytes() == P[5 * r : 5 * r + 5].tobytes()
+        P0, starts = _FORMS["joint"].starts(stacked, nodes)
+        assert P0.tobytes() == P.tobytes()
+        assert len(starts) == 60 and all(len(s) == 5 for s in starts)
+        for r, rows in enumerate(starts):
+            assert rows == [tuple(row) for row in P[5 * r : 5 * r + 5].tolist()]
+            assert all(type(v) is float for row in rows for v in row)
+
+    def test_stacked_projection_memory_is_bounded(self):
+        # A 1,600-point, 300-resample warm bootstrap's starts: one (E, A, B)
+        # solve per resample. Solved in one block, U alone would take 11.5 MB
+        # and the normal equations' products 35 MB; in blocks of
+        # _CHUNK_ELEMS // 1600 = 5 rows the peak stays below 2 MB.
+        tracemalloc = pytest.importorskip("tracemalloc")
+        stacked = self.resampled(300, side=40)
+        tracemalloc.start()
+        try:
+            P0, starts = _FORMS["joint"].starts(stacked, [(0.34, 0.28)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P0.shape == (300, 5) and len(starts) == 300
+        assert peak < 2 * 2**20
 
 
 class TestPredict:
