@@ -192,6 +192,9 @@ def bootstrap_fit(
         cluster_ids = np.asarray(cluster_ids)
         if len(cluster_ids) != n_rows:
             raise ValueError("cluster_ids length must match points")
+        nan_rows = np.flatnonzero(cluster_ids != cluster_ids)
+        if nan_rows.size:  # np.unique would give NaN an id that matches no row
+            raise ValueError(f"cluster_ids must not be NaN; NaN at rows {nan_rows.tolist()}")
         clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
 
     resample_idx = []

@@ -131,6 +131,18 @@ class TestClusters:
         assert res.n_failed_resamples == 0
         assert res.param_ci["E"][0] <= res.param_ci["E"][1]
 
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_nan_cluster_ids_rejected(self, dtype):
+        # np.unique gives NaN one id that `cluster_ids == nan` matches on no
+        # row, so NaN rows would never be resampled.
+        clusters = np.repeat(np.arange(8.0), 3).astype(dtype)
+        clusters[21:] = np.nan
+        with pytest.raises(ValueError, match=r"^cluster_ids must not be NaN; NaN at rows \[21, 22, 23\]$"):
+            bootstrap_fit(
+                noisy_points(sigma=0.05, seed=7, n=24), "power", ID_CFG,
+                BootstrapConfig(resamples=5), warm_start=True, cluster_ids=clusters,
+            )
+
     def test_cluster_length_mismatch(self):
         with pytest.raises(ValueError, match="cluster_ids"):
             bootstrap_fit(
