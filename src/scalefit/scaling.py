@@ -12,7 +12,14 @@ E, A, B are optimized in log space (e = log E, ...), so they are
 nonnegative by construction. Power and shifted fits start from the product
 of every parameter's grid. Joint fits start from the grid of the exponents
 only: at each (alpha, beta) node the curve is linear in (E, A, B), which
-are solved by nonnegative least squares (variable projection).
+are solved by nonnegative least squares (variable projection), for every
+node of every dataset of a call at once.
+
+The forms differ in their columns and in how many power terms they sum,
+so one `_Form` method reads every form's points, one builds the per-point
+arrays, and one kernel evaluates E plus any number of power terms: power
+has one, joint two, and shifted runs it on log(X + 10^lambda) and adds
+lambda's gradient. The `_FORMS` table holds what sets each form apart.
 
 The objective kernels evaluate many starts at once, in whole-array numpy:
 the log-sum-exp is `numerics._logaddexp` and the loss and its derivative
@@ -242,20 +249,23 @@ def _dh_weight(dh, t, s, out):
     return np.multiply(dh, out, out=out)
 
 
-def _power_terms(P, logX, logL, hp, need_grad):
-    """The loss of s = logaddexp(logaddexp(t_1, t_2, ...), e) with power
-    terms t_j = a_j - alpha_j logX[j], P's columns being e, then a_j and
-    alpha_j per term.
+def _power_fg(P, *args, weights=False):
+    """The kernel of E plus power terms t_j = a_j - alpha_j logX_j, called as
+    fg(P, logX_1, ..., logL, hp, need_grad): one term for the power form,
+    N and D for the joint form. P's columns are e, then a_j and alpha_j per
+    term, and s = logaddexp(logaddexp(t_1, t_2, ...), e).
 
-    Returns values (K,), or, if need_grad, (values, g, dhw): g (K, d) holds
-    the gradient columns e, then (a_j, alpha_j) per term, its columns past
-    those left for the caller; dhw holds each term's dh exp(t_j - s).
+    Returns values (K,), or, if need_grad, (values, g): g (K, d) holds the
+    gradient columns e, then (a_j, alpha_j) per term, its columns past those
+    left for the caller. With `weights` a third item lists each term's
+    dh exp(t_j - s).
     """
+    *logX, logL, hp, need_grad = args
     e = P[:, 0:1]
     terms = []
-    for j, logXj in enumerate(logX):
-        t = np.multiply(P[:, 2 + 2 * j : 3 + 2 * j], logXj)
-        terms.append(np.subtract(P[:, 1 + 2 * j : 2 + 2 * j], t, out=t))
+    for c, logXj in zip(range(1, P.shape[1], 2), logX):
+        t = np.multiply(P[:, c + 1 : c + 2], logXj)
+        terms.append(np.subtract(P[:, c : c + 1], t, out=t))
     s = terms[0]
     for t in terms[1:]:
         s = _logaddexp(s, t)
@@ -264,20 +274,13 @@ def _power_terms(P, logX, logL, hp, need_grad):
     if not need_grad:
         return fv
     g = np.empty(P.shape)
-    dhw = [_dh_weight(dh, t, s, out=t) for t in terms]
+    for t in terms:  # each t becomes its dh exp(t - s)
+        _dh_weight(dh, t, s, out=t)
     _grad_column(g[:, 0], _dh_weight(dh, e, s, out=s))
-    for j, (w, logXj) in enumerate(zip(dhw, logX)):
-        _grad_column(g[:, 1 + 2 * j], w)
-        _grad_column(g[:, 2 + 2 * j], np.multiply(w, logXj, out=s), negate=True)
-    return fv, g, dhw
-
-
-def _power_fg(P, *args):
-    """The kernel of E plus power terms, called as fg(P, logX_1, ..., logL, hp,
-    need_grad): one term for the power form, (N, D) for the joint form."""
-    *logX, logL, hp, need_grad = args
-    out = _power_terms(P, logX, logL, hp, need_grad)
-    return out[:2] if need_grad else out
+    for c, w, logXj in zip(range(1, P.shape[1], 2), terms, logX):
+        _grad_column(g[:, c], w)
+        _grad_column(g[:, c + 1], np.multiply(w, logXj, out=s), negate=True)
+    return (fv, g, terms) if weights else (fv, g)
 
 
 _LN10 = np.log(10.0)
@@ -288,7 +291,7 @@ def _shifted_fg(P, X, logL, hp, need_grad, freeze_lambda=False):
     al, lam = P[:, 2:3], P[:, 3:4]
     shift = np.power(10.0, lam)
     Xs = np.add(X, shift)
-    out = _power_terms(P, [np.log(Xs)], logL, hp, need_grad)
+    out = _power_fg(P, np.log(Xs), logL, hp, need_grad, weights=True)
     if not need_grad:
         return out
     fv, g, (dhw,) = out
@@ -312,8 +315,9 @@ _CHUNK_ELEMS = 8192
 def _in_blocks(kernel, K: int, n: int, need_grad: bool):
     """kernel(lo, hi), the kernel on rows lo:hi of data of n points, over
     rows 0:K in blocks of at most _CHUNK_ELEMS // n rows, with the results
-    concatenated. A row's value and gradient do not depend on the block it
-    falls in, as the kernels are elementwise along the rows."""
+    concatenated: one array, or with need_grad the pair (values,
+    gradients). A row's results do not depend on the block it falls in, as
+    the kernels and the projection are elementwise along the rows."""
     block = max(1, _CHUNK_ELEMS // n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if K <= block:
@@ -436,7 +440,8 @@ def _joint_project(data, nodes) -> np.ndarray:
         U = np.stack([np.exp(-lL), np.exp(-alpha[k] * lN - lL), np.exp(-beta[k] * lD - lL)], axis=1)
         return _nonneg_lstsq(U)
 
-    e, a, b = np.log(np.maximum(_in_blocks(solve, len(owner), n, False), _COEF_FLOOR)).T
+    coef = _in_blocks(solve, len(owner), n, need_grad=False)
+    e, a, b = np.log(np.maximum(coef, _COEF_FLOOR)).T
     return np.column_stack([e, a, alpha[node], b, beta[node]])
 
 

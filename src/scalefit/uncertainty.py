@@ -6,7 +6,9 @@ results. All resample indices are drawn first; the resamples of each
 length are then fitted together in one batched BFGS run, or in several
 where resamples x starts would pass a row cap; the run's objective
 evaluates its rows in blocks of bounded size. A resample's data is the
-whole data set's per-point arrays gathered at its indices; the best start
+whole data set's per-point arrays gathered at its indices; the starts of
+every resample of a run come from one call, which for joint fits solves
+every resample's (E, A, B) in blocks of bounded size; the best start
 of every resample of a run is picked in one array pass; and the curve
 band is every fit's curve from one `predict` call. Each resample's rows
 run exactly the arithmetic a fit of that resample alone would, including

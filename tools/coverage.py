@@ -23,10 +23,10 @@ on the same list:
   B 2.0, beta 0.28) on its 10 x 10 grid of N, D = 1 .. 1e3, sigma_log 0.02.
 
 Under nominal 95% coverage a count of 100 lies in about 90-99. The output
-is the same bytes on every run with one numpy build and CPU. The run takes
-about two minutes on a 2-vCPU Xeon. Cold bootstraps, which refit each
-resample from the whole start grid, are not covered: at about 200 times
-the cost of a warm one they need a cheaper start mode first.
+is the same bytes on every run with one numpy build and CPU. The run
+takes about a minute and a half on a 2-vCPU Xeon. Cold bootstraps, which
+refit each resample from the whole start grid, are not covered: at about
+200 times the cost of a warm one they need a cheaper start mode first.
 """
 from __future__ import annotations
 

@@ -136,7 +136,8 @@ def cases():
         yield f"bootstrap_warm/{seed}", warm_pts, "power", ID_CFG, (bs, True, None), {}
 
     for seed in range(1, 11):
-        yield f"joint_fit/{seed}", joint_points(joint_truth(seed), side=10, sigma=0.0), "joint", ID_CFG, None, {}
+        pts = joint_points(joint_truth(seed), side=10, sigma=0.0)
+        yield f"joint_fit/{seed}", pts, "joint", ID_CFG, None, {}
 
     test3 = {"E": 0.3, "A": 1.0, "alpha": 0.34, "B": 2.0, "beta": 0.28}
     yield "test03", joint_points(test3, side=10, sigma=0.0), "joint", ID_CFG, None, {}
@@ -144,7 +145,8 @@ def cases():
     yield "test06/determinism", power_points(), "power", ID_CFG, (bs, True, None), {}
     for rep in range(5):
         bs = BootstrapConfig(resamples=200, seed=rep)
-        yield f"test06/coverage-{rep}", power_points(seed=1000 + rep), "power", ID_CFG, (bs, True, None), {}
+        pts = power_points(seed=1000 + rep)
+        yield f"test06/coverage-{rep}", pts, "power", ID_CFG, (bs, True, None), {}
     for region, (E, A, alpha) in TEST10_TRUTHS.items():
         pts = power_points(
             n=30, sigma=0.01, seed=zlib.crc32(region.encode()) % 1000,
@@ -153,7 +155,8 @@ def cases():
         yield f"test10/{region}", pts, "power", ID_CFG, None, {}
 
     yield "shifted-frozen", shifted_points(), "shifted", ID_CFG, None, {"freeze_lambda": True}
-    bs = BootstrapConfig(resamples=1000, seed=23, curve_grid=((1.0, 1.0), (10.0, 30.0), (300.0, 5.0)))
+    grid = ((1.0, 1.0), (10.0, 30.0), (300.0, 5.0))
+    bs = BootstrapConfig(resamples=1000, seed=23, curve_grid=grid)
     pts = joint_points(joint_truth(1), side=10, sigma=0.02, seed=1)
     yield "joint_fit-warm-bootstrap/1", pts, "joint", ID_CFG, (bs, True, None), {}
 
