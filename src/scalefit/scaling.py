@@ -103,8 +103,9 @@ class FitConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        for name in ("grid_e", "grid_a", "grid_alpha", "grid_lambda"):
-            if len(getattr(self, name)) == 0:
+        for name in ("grid_e", "grid_a", "grid_alpha", "grid_lambda", "grid_b", "grid_beta"):
+            grid = getattr(self, name)
+            if grid is not None and len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
 
 
@@ -173,7 +174,7 @@ def _clean_L(L: np.ndarray) -> np.ndarray:
         n_low = int(np.sum(L <= L_FLOOR))
         warnings.warn(
             f"{n_low} misalignment value(s) <= {L_FLOOR} clamped to {L_FLOOR}",
-            stacklevel=5,
+            stacklevel=6,
         )
         L = np.maximum(L, L_FLOOR)
     return L
@@ -182,9 +183,9 @@ def _clean_L(L: np.ndarray) -> np.ndarray:
 # Each form reads its points in three steps: `_Form.read` checks their shape
 # and signs and returns the resource columns and L, each of shape (n,); the
 # form's `counts` rules check how many points and distinct resource values
-# they hold; and `_Form.data` turns them into the per-point arrays its
-# objective reads. A subset of valid points passes `read`, so only `counts`
-# can fail a bootstrap resample.
+# they hold; and `_Form.arrays` turns them into the per-point arrays its
+# objective reads. `_Form.data` runs all three. A subset of valid points
+# passes `read`, so only `counts` can fail a bootstrap resample.
 
 
 def _check_values(resources: dict, L):
@@ -532,9 +533,7 @@ class _Form:
         return resources, L
 
     def data(self, points, cfg: FitConfig, x_kind: str) -> tuple:
-        """The per-point arrays of `points` that `fg` reads, each of shape (n,):
-        each resource divided by its kind's rescale factor, as its log unless
-        `raw`, then log L.
+        """The per-point arrays of `points` that `fg` reads (`arrays`).
 
         Raises the ValueError the form's fit_* function documents for points
         it rejects; clamps L at L_FLOOR, with a warning.
@@ -543,6 +542,12 @@ class _Form:
         for rule, short in zip(self.counts, self.count_faults([c[None, :] for c in resources])):
             if short[0]:
                 raise ValueError(rule.message)
+        return self.arrays(resources, L, cfg, x_kind)
+
+    def arrays(self, resources, L, cfg: FitConfig, x_kind: str) -> tuple:
+        """The per-point arrays of the columns `read` returns, each of shape (n,):
+        each resource divided by its kind's rescale factor, as its log unless
+        `raw`, then log L, clamped at L_FLOOR with a warning."""
         scaled = [c / cfg.rescale.factor(k) for c, k in zip(resources, self.kinds(x_kind))]
         return (*(scaled if self.raw else map(np.log, scaled)), np.log(_clean_L(L)))
 
@@ -560,53 +565,41 @@ class _Form:
         axes = (p.axis(cfg) for p in self.params if self.project is None or not p.log)
         return list(itertools.product(*axes))
 
-    def starts(self, data, nodes: list):
-        """(P0, inits): the parameter vectors the fits of R datasets start from,
-        one per node of `grid` each, as rows of P0 (R * len(nodes), d) and,
-        per dataset, as a list of tuples. `data` holds the datasets' per-point
-        arrays, each of shape (R, n); a form with `project` solves every node
-        of every dataset in one call."""
+    def starts(self, data, nodes: list) -> np.ndarray:
+        """P0 (R * len(nodes), d): the parameter vectors the fits of R datasets
+        start from, one per node of `grid` each. `data` holds the datasets'
+        per-point arrays, each of shape (R, n); a form with `project` solves
+        every node of every dataset in one call."""
         if self.project is None:
-            return np.tile(np.array(nodes, dtype=float), (len(data[0]), 1)), [nodes] * len(data[0])
-        P0 = self.project(data, nodes)
-        rows = list(map(tuple, P0.tolist()))
-        return P0, [rows[i : i + len(nodes)] for i in range(0, len(rows), len(nodes))]
+            return np.tile(np.array(nodes, dtype=float), (len(data[0]), 1))
+        return self.project(data, nodes)
 
-    def result(self, best, obj, converged, inits, cfg: FitConfig, x_kind: str, n_points: int):
-        """One fit per row of `best` (m, d), the parameter vectors found, with
-        their objectives and converged flags (m,) and start tuples `inits`.
+    def values(self, P: np.ndarray) -> np.ndarray:
+        """The fit-class values of parameter rows P (m, d), in `params` order:
+        each log column through one np.exp, which gives the bits of one
+        np.exp per value."""
+        V = P.copy()
+        for j, p in enumerate(self.params):
+            if p.log:
+                V[:, j] = np.exp(P[:, j])
+        return V
 
-        The fields are read from whole columns, the log parameters through
-        one np.exp per column, which gives the bits of one np.exp per value.
-        """
-        values = [np.exp(best[:, j]) if p.log else best[:, j] for j, p in enumerate(self.params)]
-        degenerate = np.zeros(len(best), dtype=bool)
-        for p, v in zip(self.params, values):
-            if p.degeneracy:
-                degenerate |= v < DEGENERATE_EPS
-        fields = [p.field for p in self.params]
+    def result(self, best, objective, converged, init, cfg: FitConfig, x_kind: str, n_points: int):
+        """The fit of parameter vector `best` (d,), with its objective, converged
+        flag and start tuple `init`."""
+        (values,) = self.values(best[None, :]).tolist()
         units = {s: cfg.rescale.factor(k) for s, k in zip(self.scales, self.kinds(x_kind))}
         if self.x_axis:
             units["x_kind"] = x_kind
-        rows = zip(
-            zip(*(v.tolist() for v in values)),
-            np.asarray(obj, dtype=float).tolist(),
-            np.asarray(converged, dtype=bool).tolist(),
-            inits,
-            degenerate.tolist(),
+        return self.fit_class(
+            **{p.field: v for p, v in zip(self.params, values)},
+            **units,
+            objective=float(objective),
+            init_used=init,
+            degenerate=any(v < DEGENERATE_EPS for p, v in zip(self.params, values) if p.degeneracy),
+            converged=bool(converged),
+            n_points=n_points,
         )
-        return [
-            self.fit_class(
-                **dict(zip(fields, row)),
-                **units,
-                objective=o,
-                init_used=init,
-                degenerate=deg,
-                converged=conv,
-                n_points=n_points,
-            )
-            for row, o, conv, init, deg in rows
-        ]
 
     def run_fitter(self, fitter: Callable, points, cfg: FitConfig, x_kind: str, **options):
         """Call `fitter`, this form's fit_* function, which takes x_kind if x_axis."""
@@ -666,14 +659,14 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     data = form.data(points, cfg, x_kind)
     shared = [a[None, :] for a in data]
     fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
-    P0, (inits,) = form.starts(shared, form.grid(cfg))
+    nodes = form.grid(cfg)
+    P0 = form.starts(shared, nodes)
     P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
     (k,), (found,) = _select_best(P[None], fvals[None])
     if not found:
         raise RuntimeError("all grid minimizations diverged to non-finite objectives")
-    one = slice(k, k + 1)
-    (fit,) = form.result(P[one], fvals[one], conv[one], [inits[k]], cfg, x_kind, len(data[0]))
-    return fit
+    init = nodes[k] if form.project is None else tuple(P0[k].tolist())
+    return form.result(P[k], fvals[k], conv[k], init, cfg, x_kind, len(data[0]))
 
 
 def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:
@@ -717,7 +710,7 @@ def predict(fit, x=None, n=None, d=None):
             raise ValueError("joint predict requires n and d")
         n = np.asarray(n, dtype=float)
         d = np.asarray(d, dtype=float)
-        if np.any(n <= 0) or np.any(d <= 0):
+        if not (np.all(n > 0) and np.all(d > 0)):  # NaN fails too
             raise ValueError("inputs must be positive")
         with np.errstate(over="ignore"):
             # X**p may overflow to inf for extreme fitted exponents; the
@@ -731,7 +724,7 @@ def predict(fit, x=None, n=None, d=None):
         if x is None:
             raise ValueError("predict requires x")
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if not np.all(x > 0):  # NaN fails too
             raise ValueError("inputs must be positive")
         xs = x / fit.x_scale
         if isinstance(fit, ShiftedPowerLawFit):

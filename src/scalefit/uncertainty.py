@@ -5,12 +5,15 @@ random stream derived from the base seed, so reruns produce bit-identical
 results. All resample indices are drawn first; the resamples of each
 length are then fitted together in one batched BFGS run, or in several
 where resamples x starts would pass a row cap; the run's objective
-evaluates its rows in blocks of bounded size. A resample's data is the
-whole data set's per-point arrays gathered at its indices; the starts of
-every resample of a run come from one call, which for joint fits solves
-every resample's (E, A, B) in blocks of bounded size; the best start
-of every resample of a run is picked in one array pass; and the curve
-band is every fit's curve from one `predict` call. Each resample's rows
+evaluates its rows in blocks of bounded size. The points are read once,
+and a resample's data is the whole data set's per-point arrays gathered
+at its indices; the starts of every resample of a run come from one
+call, which for joint fits solves every resample's (E, A, B) in blocks of
+bounded size; and the best start of every resample of a run is picked in
+one array pass. The resamples yield parameter rows, not fits: one (R, d)
+matrix of the values the fit classes hold, in the form's `params` order.
+The intervals take one percentile call over its columns, and the curve
+band is every row's curve from one `predict` call. Each resample's rows
 run exactly the arithmetic a fit of that resample alone would, including
 the BFGS line search, which tries the step lengths of many rows, and
 several of one row, in one objective call; so the draws and intervals are
@@ -70,55 +73,51 @@ class BootstrapResult:
     seed: int = 0
 
 
-def _fit_once(points, fit_kind, fit_cfg, x_kind):
+def _fit_once(points, form, fit_cfg, x_kind):
     """The point estimate, from the form's fit_* function.
 
     The function is looked up by name in this module when called (it is
     one of the fit_* names imported above), so a wrapper installed on the
     module attribute sees the call.
     """
-    form = _form(fit_kind, "fit_kind")
     return form.run_fitter(globals()[form.fitter], points, fit_cfg, x_kind)
 
 
-def _curve_values(fit, grid: np.ndarray) -> np.ndarray:
-    """The fitted curve at every grid point: x values, or (n, d) rows for joint."""
-    columns = grid.reshape(len(grid), -1).T
-    return predict(fit, **dict(zip(_FORMS[fit.form].resources, columns)))[0]
+def _curve_band(point_fit, draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Every draw's curve at every grid point, shape (draws, points), in one
+    `predict` call: the grid holds x values, or (n, d) rows for joint.
 
-
-def _curve_band(fits: list, grid: np.ndarray) -> np.ndarray:
-    """Every fit's curve at every grid point, shape (fits, points), in one call.
-
-    The fits share one form and one set of scales. Row i is
-    `_curve_values(fits[i], grid)` bit for bit: `predict` runs on a fit whose
-    parameters are columns holding every fit's value.
+    Row i is the curve of `point_fit` with its parameters set to row i of
+    `draws` (in `params` order), bit for bit: `predict` runs on the point
+    fit with each parameter replaced by a column of every draw's value.
     """
-    columns = {
-        p.field: np.array([getattr(fit, p.field) for fit in fits])[:, None]
-        for p in _FORMS[fits[0].form].params
-    }
-    return _curve_values(replace(fits[0], **columns), grid)
+    form = _FORMS[point_fit.form]
+    columns = {p.field: draws[:, j, None] for j, p in enumerate(form.params)}
+    resources = dict(zip(form.resources, grid.reshape(len(grid), -1).T))
+    return predict(replace(point_fit, **columns), **resources)[0]
 
 
-def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
+def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind) -> np.ndarray:
     """Fit every resample `points[idx]` for idx in `draws`, in batched runs.
 
-    Returns one fit per draw, or None where fitting that resample alone
-    would raise: it falls short of one of the form's `counts` rules, one of
-    its starts is not finite at the initial point, or every start diverges.
-    Only resamples of equal length share a run, so no data is padded; all of
-    them share one run unless it would exceed _RUN_ROWS rows.
+    Returns the parameters found, one row per draw of an (R, d) array in the
+    form's `params` order, holding the values the fit class would hold. A
+    row is NaN where fitting that resample alone would raise: it falls
+    short of one of the form's `counts` rules, one of its starts is not
+    finite at the initial point, or every start diverges. Only resamples of
+    equal length share a run, so no data is padded; all of them share one
+    run unless it would exceed _RUN_ROWS rows.
 
     `points` must pass the form's checks as a whole, as the point estimate's
-    do. Their per-point arrays are computed once; a resample's arrays are
-    those arrays at its indices, which is what computing them from
-    `points[idx]` gives, as every step is elementwise. The counts rules are
-    checked for all resamples of a length in one array pass.
+    do. They are read once and their per-point arrays computed once; a
+    resample's arrays are those arrays at its indices, which is what
+    computing them from `points[idx]` gives, as every step is elementwise.
+    The counts rules are checked for all resamples of a length in one
+    array pass.
     """
     form = _FORMS[fit_kind]
-    data = form.data(points, cfg, x_kind)
-    resources, _ = form.read(points, x_kind)
+    resources, L = form.read(points, x_kind)
+    data = form.arrays(resources, L, cfg, x_kind)
     nodes = form.grid(cfg)
     starts = len(nodes)
     per_run = max(1, _RUN_ROWS // starts)
@@ -126,25 +125,21 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind):
     for i, idx in enumerate(draws):
         by_len.setdefault(len(idx), []).append(i)
 
-    fits = [None] * len(draws)
-    for n, members in by_len.items():
+    params = np.full((len(draws), len(form.params)), np.nan)
+    for members in by_len.values():
         index = np.array([draws[i] for i in members])
         short = np.logical_or.reduce(form.count_faults([column[index] for column in resources]))
-        members, index = [i for i, s in zip(members, short) if not s], index[~short]
+        members, index = np.array(members)[~short], index[~short]
         for c in range(0, len(members), per_run):
             run = members[c : c + per_run]
             stacked = [a[index[c : c + per_run]] for a in data]
-            P0, inits = form.starts(stacked, nodes)
+            P0 = form.starts(stacked, nodes)
             fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
-            X, f, _, conv, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
+            X, f, _, _, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
             best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
-            found &= started.reshape(len(run), starts).all(axis=1)
-            ok = np.flatnonzero(found)
-            r = ok * starts + best[ok]
-            built = form.result(X[r], f[r], conv[r], [inits[j][best[j]] for j in ok], cfg, x_kind, n)
-            for j, fit in zip(ok.tolist(), built):
-                fits[run[j]] = fit
-    return fits
+            ok = np.flatnonzero(found & started.reshape(len(run), starts).all(axis=1))
+            params[run[ok]] = form.values(X[ok * starts + best[ok]])
+    return params
 
 
 def _warm_cfg(fit_cfg: FitConfig, fit) -> FitConfig:
@@ -182,23 +177,26 @@ def bootstrap_fit(
     those of fitting each resample alone with the same `fit_*` call: a
     resample fails, and is left out of the intervals, where that call would
     raise. More than 20% failed resamples raise RuntimeError. The curve
-    band evaluates every fit at every `curve_grid` point in one `predict`
-    call, equal bit for bit to one call per fit.
+    band evaluates every resample's parameters at every `curve_grid` point
+    in one `predict` call, equal bit for bit to one call per resample fit.
+
+    `cluster_ids` are checked before the point estimate is fitted, unless
+    `points` is not 2-d, which the point fit rejects first.
     """
     points = np.asarray(points, dtype=float)
-    point_fit = _fit_once(points, fit_kind, fit_cfg, x_kind)
-    resample_cfg = _warm_cfg(fit_cfg, point_fit) if warm_start else fit_cfg
-
-    n_rows = len(points)
-    if cluster_ids is not None:
+    form = _form(fit_kind, "fit_kind")
+    if cluster_ids is not None and points.ndim == 2:  # other points fail the point fit first
         cluster_ids = np.asarray(cluster_ids)
-        if len(cluster_ids) != n_rows:
+        if len(cluster_ids) != len(points):
             raise ValueError("cluster_ids length must match points")
         nan_rows = np.flatnonzero(cluster_ids != cluster_ids)
         if nan_rows.size:  # np.unique would give NaN an id that matches no row
             raise ValueError(f"cluster_ids must not be NaN; NaN at rows {nan_rows.tolist()}")
         clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
+    point_fit = _fit_once(points, form, fit_cfg, x_kind)
+    resample_cfg = _warm_cfg(fit_cfg, point_fit) if warm_start else fit_cfg
 
+    n_rows = len(points)
     resample_idx = []
     for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
         rng = np.random.default_rng(child)
@@ -209,35 +207,24 @@ def bootstrap_fit(
             resample_idx.append(np.concatenate([clusters[p] for p in picks]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fits = _fit_resamples(points, resample_idx, fit_kind, resample_cfg, x_kind)
-    fits = [fit for fit in fits if fit is not None]
+        draws = _fit_resamples(points, resample_idx, fit_kind, resample_cfg, x_kind)
+    draws = draws[~np.isnan(draws).all(axis=1)]
 
-    n_failed = bs_cfg.resamples - len(fits)
+    n_failed = bs_cfg.resamples - len(draws)
     if n_failed > 0.2 * bs_cfg.resamples:
         raise RuntimeError(
             f"{n_failed}/{bs_cfg.resamples} bootstrap refits failed (> 20%)"
         )
 
-    params = _FORMS[point_fit.form].params
-    grid = list(bs_cfg.curve_grid)
-    draws = np.array([[getattr(fit, p.field) for p in params] for fit in fits])
-
-    lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
-    hi_q = 100.0 - lo_q
-    param_ci = {
-        p.name: (
-            float(np.percentile(draws[:, j], lo_q)),
-            float(np.percentile(draws[:, j], hi_q)),
-        )
-        for j, p in enumerate(params)
-    }
+    q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
+    lo, hi = np.percentile(draws, [q, 100.0 - q], axis=0)
+    param_ci = {p.name: (float(lo[j]), float(hi[j])) for j, p in enumerate(form.params)}
     curve_ci = []
+    grid = list(bs_cfg.curve_grid)
     if grid:
-        grid_arr = np.asarray(grid, dtype=float)
-        cd = _curve_band(fits, grid_arr)
-        lo = np.percentile(cd, lo_q, axis=0)
-        hi = np.percentile(cd, hi_q, axis=0)
-        curve_ci = [(grid[j], float(lo[j]), float(hi[j])) for j in range(len(grid))]
+        band = _curve_band(point_fit, draws, np.asarray(grid, dtype=float))
+        lo, hi = np.percentile(band, [q, 100.0 - q], axis=0)
+        curve_ci = [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
 
     return BootstrapResult(
         point_estimate=point_fit,

@@ -44,6 +44,17 @@ def power_points(E, A, alpha, x_lo=-2, x_hi=2, n=30, sigma=0.0, seed=0):
     return gen_curve_points(g)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("name", ["grid_e", "grid_a", "grid_alpha", "grid_lambda", "grid_b", "grid_beta"])
+    def test_empty_grid_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
+            FitConfig(**{name: ()})
+
+    def test_unset_mirrored_grids_accepted(self):
+        cfg = FitConfig(grid_b=None, grid_beta=None)
+        assert _FORMS["joint"].grid(cfg) == list(itertools.product(cfg.grid_alpha, cfg.grid_alpha))
+
+
 class TestPointChecks:
     """Every form checks its points in one order: shape, then x_kind (forms in
     one resource x only), then values, then the counts rules."""
@@ -373,9 +384,12 @@ class TestJointProjection:
         data = _FORMS["joint"].data(TestFitJoint().joint_points(), cfg, "flops")
         nodes = _FORMS["joint"].grid(cfg)
         assert nodes == list(itertools.product(cfg.grid_alpha, cfg.grid_beta))
-        P0, (starts,) = _FORMS["joint"].starts([a[None, :] for a in data], nodes)
-        assert [(s[2], s[4]) for s in starts] == nodes
-        assert P0.tolist() == [list(s) for s in starts]
+        P0 = _FORMS["joint"].starts([a[None, :] for a in data], nodes)
+        assert P0.shape == (len(nodes), 5)
+        assert [(s[2], s[4]) for s in P0.tolist()] == nodes
+        init = fit_joint(TestFitJoint().joint_points(), cfg).init_used
+        assert type(init) is tuple and init in list(map(tuple, P0.tolist()))
+        assert all(type(v) is float for v in init)
 
     def resampled(self, resamples, side=10, seed=0):
         """The per-point arrays of noisy joint points on a side x side grid,
@@ -404,12 +418,8 @@ class TestJointProjection:
         for r in range(60):
             one = _joint_project([a[r : r + 1] for a in stacked], nodes)
             assert one.tobytes() == P[5 * r : 5 * r + 5].tobytes()
-        P0, starts = _FORMS["joint"].starts(stacked, nodes)
+        P0 = _FORMS["joint"].starts(stacked, nodes)
         assert P0.tobytes() == P.tobytes()
-        assert len(starts) == 60 and all(len(s) == 5 for s in starts)
-        for r, rows in enumerate(starts):
-            assert rows == [tuple(row) for row in P[5 * r : 5 * r + 5].tolist()]
-            assert all(type(v) is float for row in rows for v in row)
 
     def test_stacked_projection_memory_is_bounded(self):
         # A 1,600-point, 300-resample warm bootstrap's starts: one (E, A, B)
@@ -420,11 +430,11 @@ class TestJointProjection:
         stacked = self.resampled(300, side=40)
         tracemalloc.start()
         try:
-            P0, starts = _FORMS["joint"].starts(stacked, [(0.34, 0.28)])
+            P0 = _FORMS["joint"].starts(stacked, [(0.34, 0.28)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert P0.shape == (300, 5) and len(starts) == 300
+        assert P0.shape == (300, 5)
         assert peak < 2 * 2**20
 
 
@@ -493,6 +503,22 @@ class TestPredict:
         fit = PowerLawFit(E=0.3, A=1.0, alpha=0.4, objective=0.0, init_used=(), degenerate=False)
         with pytest.raises(ValueError):
             predict(fit, x=0.0)
+
+    NAN_INPUTS = {
+        "power": (PowerLawFit(0.3, 1.0, 0.4, 0.0, (), False), [{"x": np.nan}, {"x": [1.0, np.nan]}]),
+        "shifted": (ShiftedPowerLawFit(0.3, 1.0, 0.4, 0.5, 0.0, (), False), [{"x": np.nan}]),
+        "joint": (
+            JointFit(0.2, 1.0, 0.3, 2.0, 0.4, 0.0, (), False),
+            [{"n": np.nan, "d": 10.0}, {"n": 10.0, "d": [5.0, np.nan]}],
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(NAN_INPUTS))
+    def test_nan_input(self, form):
+        fit, calls = self.NAN_INPUTS[form]
+        for inputs in calls:
+            with pytest.raises(ValueError, match="^inputs must be positive$"):
+                predict(fit, **inputs)
 
 
 class TestRegionGain:
@@ -617,7 +643,7 @@ def reference_result(form, best, obj, converged, init, cfg, x_kind, n_points):
 
 
 class TestFormResult:
-    """`_Form.result` builds from whole columns the fits a row-by-row build gives."""
+    """`_Form.result` builds from `_Form.values` the fit a scalar build gives."""
 
     @pytest.mark.parametrize("kind", sorted(_FORMS))
     def test_matches_row_by_row(self, kind):
@@ -638,22 +664,22 @@ class TestFormResult:
         cfg = FitConfig(rescale=Rescale(2.0, 3.0, 5.0))
         x_kind = "params" if form.x_axis else "flops"
         with np.errstate(over="ignore"):
-            got = form.result(best, obj, conv, inits, cfg, x_kind, 42)
+            got = [form.result(best[i], obj[i], conv[i], inits[i], cfg, x_kind, 42) for i in range(m)]
             wants = [
                 reference_result(form, best[i], float(obj[i]), bool(conv[i]), inits[i], cfg, x_kind, 42)
                 for i in range(m)
             ]
-        assert len(got) == m
-        for fit, want in zip(got, wants):
+            values = form.values(best)
+        for fit, want, row in zip(got, wants, values):
             assert type(fit) is type(want)
             assert repr(fit) == repr(want)
             for name, value in vars(want).items():
                 assert type(getattr(fit, name)) is type(value), name
+            assert row.tobytes() == np.array(list(fit.params().values())).tobytes()
         assert any(fit.degenerate for fit in got) and not all(fit.degenerate for fit in got)
 
     def test_no_rows(self):
-        form = _FORMS["power"]
-        assert form.result(np.zeros((0, 3)), np.zeros(0), np.zeros(0, bool), [], ID_CFG, "flops", 5) == []
+        assert _FORMS["power"].values(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestSelectBest:

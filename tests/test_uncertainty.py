@@ -4,19 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scalefit import uncertainty
 from scalefit.scaling import (
+    _FORMS,
     FitConfig,
     Rescale,
     fit_joint,
     fit_power_law,
     fit_shifted_power_law,
+    predict,
 )
 from scalefit.synth import CurveGenerator, gen_curve_points
 from scalefit.uncertainty import (
     BootstrapConfig,
     BootstrapResult,
     _curve_band,
-    _curve_values,
     _fit_resamples,
     _warm_cfg,
     bootstrap_fit,
@@ -149,6 +151,26 @@ class TestClusters:
                 noisy_points(), "power", ID_CFG,
                 BootstrapConfig(resamples=5), cluster_ids=[0, 1],
             )
+
+    @pytest.mark.parametrize("ids", [[0, 1], [np.nan] * 25], ids=["length", "nan"])
+    def test_bad_ids_raise_before_the_point_fit(self, monkeypatch, ids):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_power_law(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "fit_power_law", counted)
+        with pytest.raises(ValueError, match="cluster_ids"):
+            bootstrap_fit(
+                noisy_points(), "power", ID_CFG,
+                BootstrapConfig(resamples=5), warm_start=True, cluster_ids=ids,
+            )
+        assert calls == []
+
+    def test_points_not_2d_get_the_shape_message_first(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            bootstrap_fit(np.ones(25), "power", ID_CFG, BootstrapConfig(resamples=5), cluster_ids=[0, 1])
 
 
 class TestJoint:
@@ -311,7 +333,7 @@ SCALED_CFG = replace(SMALL_CFG, rescale=Rescale(10.0, 3.0, 7.0))
 
 
 class TestCurveBand:
-    """Each curve of the band is its resample fit's own curve, bit for bit."""
+    """Each curve of the band is predict's curve at its draw's parameters, bit for bit."""
 
     @pytest.mark.parametrize(
         "points, fit_kind, grid",
@@ -327,15 +349,60 @@ class TestCurveBand:
         # from Python's in some curve value
         bs_cfg = BootstrapConfig(resamples=100, seed=3, curve_grid=grid)
         res = bootstrap_fit(points, fit_kind, SCALED_CFG, bs_cfg, warm_start=True)
-        cfg = _warm_cfg(SCALED_CFG, res.point_estimate)
+        point = res.point_estimate
+        cfg = _warm_cfg(SCALED_CFG, point)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fits = _fit_resamples(points, resample_draws(points, bs_cfg), fit_kind, cfg, "flops")
-        fits = [fit for fit in fits if fit is not None]
+            draws = _fit_resamples(points, resample_draws(points, bs_cfg), fit_kind, cfg, "flops")
+        draws = draws[~np.isnan(draws).all(axis=1)]
+        form = _FORMS[fit_kind]
         grid_arr = np.asarray(grid, dtype=float)
-        curves = np.array([_curve_values(fit, grid_arr) for fit in fits])
-        assert np.array_equal(_curve_band(fits, grid_arr).view(np.uint64), curves.view(np.uint64))
+        resources = dict(zip(form.resources, grid_arr.reshape(len(grid), -1).T))
+        curves = np.array([
+            predict(replace(point, **{p.field: float(v) for p, v in zip(form.params, row)}), **resources)[0]
+            for row in draws
+        ])
+        assert np.array_equal(_curve_band(point, draws, grid_arr).view(np.uint64), curves.view(np.uint64))
         lo_q = 100.0 * (1.0 - bs_cfg.ci_level) / 2.0
         lo = np.percentile(curves, lo_q, axis=0)
         hi = np.percentile(curves, 100.0 - lo_q, axis=0)
         assert res.curve_ci == [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
+
+
+    def test_nan_grid_point_rejected(self):
+        bs_cfg = BootstrapConfig(resamples=5, curve_grid=(1.0, np.nan))
+        with pytest.raises(ValueError, match="^inputs must be positive$"):
+            bootstrap_fit(noisy_points(), "power", ID_CFG, bs_cfg, warm_start=True)
+
+
+class TestResampleRows:
+    """`_fit_resamples` gives each draw's lone fit's parameters, or NaN where that fit raises."""
+
+    @pytest.mark.parametrize(
+        "points, fit_kind, resamples, cluster_ids",
+        [
+            (shifted_points(n=6), "shifted", 40, None),
+            (SPARSE_JOINT, "joint", 30, SPARSE_JOINT_CLUSTERS),
+        ],
+        ids=["shifted-warm-failures", "joint-clusters-failures"],
+    )
+    def test_nan_rows_are_the_draws_whose_fit_raises(self, points, fit_kind, resamples, cluster_ids):
+        fit = FITS[fit_kind]
+        cfg = _warm_cfg(SMALL_CFG, fit(points, SMALL_CFG))
+        idx = resample_draws(points, BootstrapConfig(resamples=resamples, seed=11), cluster_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            draws = _fit_resamples(points, idx, fit_kind, cfg, "flops")
+            wants = []
+            for i in idx:
+                try:
+                    wants.append(list(fit(points[i], cfg).params().values()))
+                except (ValueError, RuntimeError):
+                    wants.append(None)
+        assert draws.shape == (resamples, len(_FORMS[fit_kind].params))
+        failed = [want is None for want in wants]
+        assert np.isnan(draws).all(axis=1).tolist() == failed
+        assert any(failed) and not all(failed)
+        for row, want in zip(draws, wants):
+            if want is not None:
+                assert row.tobytes() == np.array(want).tobytes()
