@@ -50,10 +50,6 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
             FitConfig(**{name: ()})
 
-    def test_unset_mirrored_grids_accepted(self):
-        cfg = FitConfig(grid_b=None, grid_beta=None)
-        assert _FORMS["joint"].grid(cfg) == list(itertools.product(cfg.grid_alpha, cfg.grid_alpha))
-
 
 class TestPointChecks:
     """Every form checks its points in one order: shape, then x_kind (forms in
