@@ -368,11 +368,11 @@ def cmd_bootstrap(args) -> int:
     form = _FORMS[args.form]
     points = _load_points(args, form)
     cfg = _fit_config(args)
-    if args.curve_points > 0 and form.x_axis:
+    grid = ()
+    # X values that are not positive get no band, so the fit's check names them.
+    if args.curve_points > 0 and form.x_axis and np.all(points[:, 0] > 0):
         x = points[:, 0]
         grid = tuple(np.logspace(np.log10(x.min()), np.log10(x.max()), args.curve_points))
-    else:
-        grid = ()
     bs_cfg = BootstrapConfig(
         resamples=args.resamples, ci_level=args.ci, seed=args.seed, curve_grid=grid
     )

@@ -15,7 +15,6 @@ __all__ = [
     "OptimizerConfig",
     "MinimizeResult",
     "huber",
-    "huber_deriv",
     "lse",
     "loglog_linreg",
     "minimize",
@@ -79,13 +78,6 @@ def huber(r, params: HuberParams = HuberParams()):
     r = np.asarray(r, dtype=float)
     out = _huber_parts(np.atleast_1d(r), params.delta)[0]
     return out if r.ndim else float(out[0])
-
-
-def huber_deriv(r, params: HuberParams = HuberParams()):
-    """Derivative of the Huber loss; equals clip(r, -delta, delta)."""
-    r = np.asarray(r, dtype=float)
-    out = np.clip(r, -params.delta, params.delta)
-    return out if out.ndim else float(out)
 
 
 def lse(terms) -> float:

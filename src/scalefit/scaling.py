@@ -21,6 +21,10 @@ arrays, and one kernel evaluates E plus any number of power terms: power
 has one, joint two, and shifted runs it on log(X + 10^lambda) and adds
 lambda's gradient. The `_FORMS` table holds what sets each form apart.
 
+Every fit runs here, with one objective factory (`_stacked_objective`):
+a point fit is one dataset in a `minimize_batch` call, and the bootstrap's
+resample fits (`_fit_resamples`) are many datasets per `_bfgs_rows` run.
+
 The objective kernels evaluate many starts at once, in whole-array numpy:
 the log-sum-exp is `numerics._logaddexp` and the loss and its derivative
 come from one clip (`numerics._huber_parts`). Their vector exp and log1p
@@ -36,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import HuberParams, OptimizerConfig, _huber_parts, _logaddexp, minimize_batch
+from .numerics import HuberParams, OptimizerConfig, _bfgs_rows, _huber_parts, _logaddexp, minimize_batch
 from .records import RESOURCE_FIELDS
 
 __all__ = [
@@ -54,6 +58,10 @@ __all__ = [
 
 L_FLOOR = 1e-6
 DEGENERATE_EPS = 1e-4
+# Transition point of the Huber loss on log-residuals, as in Hoffmann et
+# al. 2022; every fit and resample fit uses it, with OptimizerConfig().
+HUBER_DELTA = 1e-3
+_OPTIMIZER = OptimizerConfig()
 
 X_KINDS = tuple(RESOURCE_FIELDS)
 
@@ -82,16 +90,16 @@ class Rescale:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Loss, start grids, rescale and optimizer of a fit.
+    """Start grids and rescale of a fit.
 
     Power and shifted fits start from the product of the grids of their
     parameters. Joint fits read only `grid_alpha` and `grid_beta` (which
     mirrors `grid_alpha` while None) and solve (E, A, B) at each node, so
     `grid_e` and `grid_a` do not affect them, and `grid_b` is read by no
-    fit; it stays so existing callers keep working.
+    fit; it stays so existing callers keep working. The loss and the
+    optimizer are fixed: HUBER_DELTA and OptimizerConfig().
     """
 
-    huber: HuberParams = HuberParams(1e-3)
     grid_e: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
     grid_a: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     grid_alpha: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -100,13 +108,15 @@ class FitConfig:
     grid_b: tuple | None = None
     grid_beta: tuple | None = None
     rescale: Rescale = field(default_factory=Rescale)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         for name in ("grid_e", "grid_a", "grid_alpha", "grid_lambda", "grid_b", "grid_beta"):
             grid = getattr(self, name)
             if grid is not None and len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            bad = [v for v in grid or () if not np.isfinite(v)]
+            if bad:
+                raise ValueError(f"{name} values must be finite, got {float(bad[0])}")
 
 
 class _Curve:
@@ -329,48 +339,35 @@ def _in_blocks(kernel, K: int, n: int, need_grad: bool):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _shared_objective(fg, data, delta: float, **kw):
-    """`minimize_batch` objective fg(P, need_grad) on data shared by all rows.
+def _stacked_objective(fg, data, starts: int, delta: float, **kw):
+    """The objective fg(P, rows=None, need_grad=True) of fits over R datasets.
 
-    The rows are evaluated in blocks of at most _CHUNK_ELEMS // n.
+    `data` holds per-point arrays of shape (R, n), one row per dataset, such
+    as the arrays of all points gathered at each bootstrap resample's
+    indices; batch row r belongs to dataset r // starts. With one dataset
+    (R = 1) every row reads the (1, n) arrays as they are and `rows` is not
+    needed, which is how `minimize_batch` calls it. `kw` goes to `fg`. The
+    rows are evaluated in blocks of at most _CHUNK_ELEMS // n.
     """
     hp = HuberParams(delta)
     n = data[0].shape[1]
+    shared = len(data[0]) == 1
 
-    def objective(P, need_grad=True):
+    def objective(P, rows=None, need_grad=True):
+        owner = None if shared else rows // starts
+
         def kernel(lo, hi):
-            return fg(P[lo:hi], *data, hp, need_grad, **kw)
+            arrays = data if shared else [a.take(owner[lo:hi], axis=0) for a in data]
+            return fg(P[lo:hi], *arrays, hp, need_grad, **kw)
 
         return _in_blocks(kernel, len(P), n, need_grad)
 
     return objective
 
 
-def _stacked_objective(fg, data, starts: int, delta: float):
-    """Row-aware objective fg(P, rows, need_grad) over stacked datasets.
-
-    `data` holds arrays of shape (R, n), one row per dataset, such as the
-    per-point arrays of all points gathered at each bootstrap resample's
-    indices; batch row r belongs to dataset r // starts. The rows are
-    evaluated in blocks of at most _CHUNK_ELEMS // n.
-    """
-    hp = HuberParams(delta)
-    n = data[0].shape[1]
-
-    def objective(P, rows, need_grad):
-        owner = rows // starts
-
-        def kernel(lo, hi):
-            return fg(P[lo:hi], *(a.take(owner[lo:hi], axis=0) for a in data), hp, need_grad)
-
-        return _in_blocks(kernel, len(rows), n, need_grad)
-
-    return objective
-
-
 def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
-    """Power-law objective on shared data, log X and log L of shape (1, n)."""
-    return _shared_objective(_power_fg, (logX, logL), delta)
+    """Power-law objective on one dataset, log X and log L of shape (1, n)."""
+    return _stacked_objective(_power_fg, (logX, logL), 1, delta)
 
 
 # Start value of a linear coefficient the projection solves as zero, so
@@ -658,15 +655,70 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     form = _FORMS[kind]
     data = form.data(points, cfg, x_kind)
     shared = [a[None, :] for a in data]
-    fg = _shared_objective(form.fg, shared, cfg.huber.delta, **objective_kw)
     nodes = form.grid(cfg)
+    fg = _stacked_objective(form.fg, shared, len(nodes), HUBER_DELTA, **objective_kw)
     P0 = form.starts(shared, nodes)
-    P, fvals, _, conv, _ = minimize_batch(fg, P0, cfg.optimizer)
+    P, fvals, _, conv, _ = minimize_batch(fg, P0, _OPTIMIZER)
     (k,), (found,) = _select_best(P[None], fvals[None])
     if not found:
         raise RuntimeError("all grid minimizations diverged to non-finite objectives")
     init = nodes[k] if form.project is None else tuple(P0[k].tolist())
     return form.result(P[k], fvals[k], conv[k], init, cfg, x_kind, len(data[0]))
+
+
+# Upper bound on resamples x starts in one `_bfgs_rows` run, enough for
+# every warm resample of a default 1,000-resample bootstrap; a run always
+# holds at least one resample. Its objective evaluates the rows in blocks
+# (_CHUNK_ELEMS), so the cap bounds only the optimizer's own per-row state.
+_RUN_ROWS = 2048
+
+
+def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind) -> np.ndarray:
+    """Fit every resample `points[idx]` for idx in `draws`, in batched runs.
+
+    Returns the parameters found, one row per draw of an (R, d) array in the
+    form's `params` order, holding the values the fit class would hold. A
+    row is NaN where fitting that resample alone would raise: it falls
+    short of one of the form's `counts` rules, one of its starts is not
+    finite at the initial point, or every start diverges.
+
+    `points` must pass the form's checks as a whole, as the point estimate's
+    do. They are read once and their per-point arrays computed once; a
+    resample's arrays are those arrays at its indices, as every step is
+    elementwise. The resamples of each length share one `_bfgs_rows` run,
+    or several where resamples x starts would pass _RUN_ROWS, so no data is
+    padded. The counts rules take one array pass per length, and the starts
+    (for joint fits, every resample's projection) and best starts one call
+    per run. Each
+    resample's rows run exactly the arithmetic its lone `_fit` would, the
+    line search included, which tries the step lengths of many rows, and
+    several of one row, in one objective call.
+    """
+    form = _FORMS[fit_kind]
+    resources, L = form.read(points, x_kind)
+    data = form.arrays(resources, L, cfg, x_kind)
+    nodes = form.grid(cfg)
+    starts = len(nodes)
+    per_run = max(1, _RUN_ROWS // starts)
+    by_len = {}
+    for i, idx in enumerate(draws):
+        by_len.setdefault(len(idx), []).append(i)
+
+    params = np.full((len(draws), len(form.params)), np.nan)
+    for members in by_len.values():
+        index = np.array([draws[i] for i in members])
+        short = np.logical_or.reduce(form.count_faults([column[index] for column in resources]))
+        members, index = np.array(members)[~short], index[~short]
+        for c in range(0, len(members), per_run):
+            run = members[c : c + per_run]
+            stacked = [a[index[c : c + per_run]] for a in data]
+            P0 = form.starts(stacked, nodes)
+            fg = _stacked_objective(form.fg, stacked, starts, HUBER_DELTA)
+            X, f, _, _, _, started = _bfgs_rows(fg, P0, _OPTIMIZER)
+            best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
+            ok = np.flatnonzero(found & started.reshape(len(run), starts).all(axis=1))
+            params[run[ok]] = form.values(X[ok * starts + best[ok]])
+    return params
 
 
 def fit_power_law(points, cfg: FitConfig = FitConfig(), x_kind: str = "flops") -> PowerLawFit:

@@ -1,23 +1,14 @@
 """Bootstrap confidence intervals for curve fits.
 
-Rows are resampled with replacement; each resample index gets its own
-random stream derived from the base seed, so reruns produce bit-identical
-results. All resample indices are drawn first; the resamples of each
-length are then fitted together in one batched BFGS run, or in several
-where resamples x starts would pass a row cap; the run's objective
-evaluates its rows in blocks of bounded size. The points are read once,
-and a resample's data is the whole data set's per-point arrays gathered
-at its indices; the starts of every resample of a run come from one
-call, which for joint fits solves every resample's (E, A, B) in blocks of
-bounded size; and the best start of every resample of a run is picked in
-one array pass. The resamples yield parameter rows, not fits: one (R, d)
-matrix of the values the fit classes hold, in the form's `params` order.
-The intervals take one percentile call over its columns, and the curve
-band is every row's curve from one `predict` call. Each resample's rows
-run exactly the arithmetic a fit of that resample alone would, including
-the BFGS line search, which tries the step lengths of many rows, and
-several of one row, in one objective call; so the draws and intervals are
-the same as fitting the resamples one at a time.
+Rows, or whole clusters of rows, are resampled with replacement; each
+resample index gets its own random stream derived from the base seed, so
+reruns produce bit-identical results. Every resample is refitted
+(`scaling._fit_resamples`) with the fit the point estimate used, from the
+same start grid or, warm, from the point estimate. The resamples yield one
+(R, d) matrix of the fitted parameters, in the form's `params` order; the
+intervals are percentiles of its columns, and the curve band percentiles
+of every row's curve at each grid point. The draws, failures and intervals
+are those of fitting each resample alone.
 """
 from __future__ import annotations
 
@@ -26,13 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import _bfgs_rows
 from .scaling import (
     _FORMS,
     FitConfig,
+    _fit_resamples,
     _form,
-    _select_best,
-    _stacked_objective,
     fit_joint,
     fit_power_law,
     fit_shifted_power_law,
@@ -40,13 +29,6 @@ from .scaling import (
 )
 
 __all__ = ["BootstrapConfig", "BootstrapResult", "bootstrap_fit"]
-
-# Upper bound on resamples x starts in one batched BFGS run, enough for
-# every warm resample of a default 1,000-resample bootstrap; a run always
-# holds at least one resample. Its objective evaluates the rows in blocks
-# (scaling._CHUNK_ELEMS), so the cap bounds only the optimizer's own
-# per-row state.
-_RUN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -97,49 +79,17 @@ def _curve_band(point_fit, draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return predict(replace(point_fit, **columns), **resources)[0]
 
 
-def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind) -> np.ndarray:
-    """Fit every resample `points[idx]` for idx in `draws`, in batched runs.
-
-    Returns the parameters found, one row per draw of an (R, d) array in the
-    form's `params` order, holding the values the fit class would hold. A
-    row is NaN where fitting that resample alone would raise: it falls
-    short of one of the form's `counts` rules, one of its starts is not
-    finite at the initial point, or every start diverges. Only resamples of
-    equal length share a run, so no data is padded; all of them share one
-    run unless it would exceed _RUN_ROWS rows.
-
-    `points` must pass the form's checks as a whole, as the point estimate's
-    do. They are read once and their per-point arrays computed once; a
-    resample's arrays are those arrays at its indices, which is what
-    computing them from `points[idx]` gives, as every step is elementwise.
-    The counts rules are checked for all resamples of a length in one
-    array pass.
-    """
-    form = _FORMS[fit_kind]
-    resources, L = form.read(points, x_kind)
-    data = form.arrays(resources, L, cfg, x_kind)
-    nodes = form.grid(cfg)
-    starts = len(nodes)
-    per_run = max(1, _RUN_ROWS // starts)
-    by_len = {}
-    for i, idx in enumerate(draws):
-        by_len.setdefault(len(idx), []).append(i)
-
-    params = np.full((len(draws), len(form.params)), np.nan)
-    for members in by_len.values():
-        index = np.array([draws[i] for i in members])
-        short = np.logical_or.reduce(form.count_faults([column[index] for column in resources]))
-        members, index = np.array(members)[~short], index[~short]
-        for c in range(0, len(members), per_run):
-            run = members[c : c + per_run]
-            stacked = [a[index[c : c + per_run]] for a in data]
-            P0 = form.starts(stacked, nodes)
-            fg = _stacked_objective(form.fg, stacked, starts, cfg.huber.delta)
-            X, f, _, _, _, started = _bfgs_rows(fg, P0, cfg.optimizer)
-            best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
-            ok = np.flatnonzero(found & started.reshape(len(run), starts).all(axis=1))
-            params[run[ok]] = form.values(X[ok * starts + best[ok]])
-    return params
+def _band_grid(curve_grid, form) -> np.ndarray:
+    """`curve_grid` as an array, one x per point (m,) or one (n, d) pair per
+    point (m, 2) for joint; a ValueError, before any fit runs, if not."""
+    grid = np.asarray(curve_grid, dtype=float)
+    shape = (len(grid),) if form.x_axis else (len(grid), len(form.resources))
+    if grid.shape != shape:
+        what = "x value" if form.x_axis else f"({', '.join(form.resources)}) pair"
+        raise ValueError(f"curve_grid must hold one {what} per point")
+    if np.any(~(grid > 0)):
+        raise ValueError("inputs must be positive")
+    return grid
 
 
 def _warm_cfg(fit_cfg: FitConfig, fit) -> FitConfig:
@@ -171,17 +121,16 @@ def bootstrap_fit(
     estimate only (for joint fits, from its exponents) instead of the full
     start grid.
 
-    The resamples of each length are fitted together, in one batched BFGS
-    run of at most _RUN_ROWS rows (resamples x starts) or as few such runs
-    as hold them. The draws, the failed resamples and the intervals are
-    those of fitting each resample alone with the same `fit_*` call: a
-    resample fails, and is left out of the intervals, where that call would
-    raise. More than 20% failed resamples raise RuntimeError. The curve
-    band evaluates every resample's parameters at every `curve_grid` point
-    in one `predict` call, equal bit for bit to one call per resample fit.
+    The draws, the failed resamples and the intervals are those of fitting
+    each resample alone with the same `fit_*` call: a resample fails, and
+    is left out of the intervals, where that call would raise. More than
+    20% failed resamples raise RuntimeError. The curve band evaluates every
+    resample's parameters at every `curve_grid` point in one `predict`
+    call, equal bit for bit to one call per resample fit.
 
     `cluster_ids` are checked before the point estimate is fitted, unless
-    `points` is not 2-d, which the point fit rejects first.
+    `points` is not 2-d, which the point fit rejects first; `curve_grid`
+    (`_band_grid`) is checked after them, also before the point fit.
     """
     points = np.asarray(points, dtype=float)
     form = _form(fit_kind, "fit_kind")
@@ -193,6 +142,8 @@ def bootstrap_fit(
         if nan_rows.size:  # np.unique would give NaN an id that matches no row
             raise ValueError(f"cluster_ids must not be NaN; NaN at rows {nan_rows.tolist()}")
         clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
+    grid = list(bs_cfg.curve_grid)
+    band_grid = _band_grid(grid, form) if grid else None
     point_fit = _fit_once(points, form, fit_cfg, x_kind)
     resample_cfg = _warm_cfg(fit_cfg, point_fit) if warm_start else fit_cfg
 
@@ -220,9 +171,8 @@ def bootstrap_fit(
     lo, hi = np.percentile(draws, [q, 100.0 - q], axis=0)
     param_ci = {p.name: (float(lo[j]), float(hi[j])) for j, p in enumerate(form.params)}
     curve_ci = []
-    grid = list(bs_cfg.curve_grid)
     if grid:
-        band = _curve_band(point_fit, draws, np.asarray(grid, dtype=float))
+        band = _curve_band(point_fit, draws, band_grid)
         lo, hi = np.percentile(band, [q, 100.0 - q], axis=0)
         curve_ci = [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
 

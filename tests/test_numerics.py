@@ -11,7 +11,6 @@ from scalefit.numerics import (
     OptimizerConfig,
     check_gradient,
     huber,
-    huber_deriv,
     lse,
     loglog_linreg,
     minimize,
@@ -80,7 +79,7 @@ class TestHuber:
             value, deriv = _huber_parts(r, delta)
             assert_same_bits(value, branch_huber(r, delta))
         assert_same_bits(value, huber(r, hp))
-        assert_same_bits(deriv, huber_deriv(r, hp))
+        assert_same_bits(deriv, np.clip(r, -delta, delta))
 
 
 LSE_SPECIALS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 709.8, -745.2]

@@ -19,7 +19,6 @@ from scalefit.scaling import (
     _power_fg,
     _power_objective,
     _select_best,
-    _shared_objective,
     _shifted_fg,
     _stacked_objective,
     fit_joint,
@@ -44,11 +43,23 @@ def power_points(E, A, alpha, x_lo=-2, x_hi=2, n=30, sigma=0.0, seed=0):
     return gen_curve_points(g)
 
 
+GRIDS = ["grid_e", "grid_a", "grid_alpha", "grid_lambda", "grid_b", "grid_beta"]
+
+
 class TestFitConfig:
-    @pytest.mark.parametrize("name", ["grid_e", "grid_a", "grid_alpha", "grid_lambda", "grid_b", "grid_beta"])
-    def test_empty_grid_rejected(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
-            FitConfig(**{name: ()})
+    @pytest.mark.parametrize(
+        "name, grid, message",
+        [pytest.param(name, (), f"^{name} must be nonempty$", id=name) for name in GRIDS]
+        + [
+            pytest.param("grid_alpha", (np.nan,), "^grid_alpha values must be finite, got nan$", id="alpha-nan"),
+            pytest.param("grid_e", (0.0, np.inf), "^grid_e values must be finite, got inf$", id="e-inf"),
+            pytest.param("grid_beta", (np.nan,), "^grid_beta values must be finite, got nan$", id="beta-nan"),
+            pytest.param("grid_b", (-np.inf,), "^grid_b values must be finite, got -inf$", id="b-minus-inf"),
+        ],
+    )
+    def test_empty_grid_rejected(self, name, grid, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**{name: grid})
 
 
 class TestPointChecks:
@@ -192,7 +203,7 @@ class TestFitPowerLaw:
         pts = power_points(0.52, 0.55, 0.16, sigma=0.05, seed=3)
         fit = fit_power_law(pts, ID_CFG)
         fg = _power_objective(
-            np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :], ID_CFG.huber.delta
+            np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :], scaling.HUBER_DELTA
         )
         inits = np.array(
             list(itertools.product(ID_CFG.grid_e, ID_CFG.grid_a, ID_CFG.grid_alpha))
@@ -576,8 +587,35 @@ class TestStackedObjective:
         assert np.array_equal(fg(P, rows, False), f_ref, equal_nan=True)
 
 
+    @pytest.mark.parametrize(
+        "fg, kw",
+        [(_power_fg, {}), (_shifted_fg, {"freeze_lambda": False}), (_shifted_fg, {"freeze_lambda": True})],
+        ids=["power", "shifted", "shifted-frozen"],
+    )
+    def test_one_dataset_matches_its_row_repeated(self, fg, kw):
+        # With one dataset every row reads the (1, n) arrays without a
+        # gather; the bytes are those of R copies read through row indices.
+        rng = np.random.default_rng(2)
+        starts, R, n = 4, 3, 50
+        X = rng.uniform(1e-2, 1e2, (1, n))
+        data = (X if fg is _shifted_fg else np.log(X), np.log(rng.uniform(0.2, 0.9, (1, n))))
+        d = 4 if fg is _shifted_fg else 3
+        K = 2 * (scaling._CHUNK_ELEMS // n) + 7  # three blocks, the last one short
+        rows = np.sort(rng.integers(0, starts * R, K))  # repeats, as in a line search
+        P = rng.uniform([-1, 0, 0, 0][:d], [1, 5, 2, 2][:d], (K, d))
+        P[3, 1], P[K - 2, 0] = np.inf, np.nan  # rows whose value is not finite
+        one = _stacked_objective(fg, data, starts, 1e-3, **kw)
+        repeated = _stacked_objective(fg, [np.repeat(a, R, axis=0) for a in data], starts, 1e-3, **kw)
+        f_ref, g_ref = repeated(P, rows, True)
+        for f, g in (one(P, rows, True), one(P)):
+            assert f.tobytes() == f_ref.tobytes() and g.tobytes() == g_ref.tobytes()
+        assert one(P, rows, False).tobytes() == one(P, need_grad=False).tobytes() == f_ref.tobytes()
+        assert repeated(P, rows, False).tobytes() == f_ref.tobytes()
+
+
 class TestSharedObjective:
-    """The point fits' objective evaluates its rows in blocks of bounded size."""
+    """The objective on one dataset, data shared by every row, evaluates its
+    rows in blocks of bounded size."""
 
     @pytest.mark.parametrize("freeze_lambda", [False, True])
     def test_blocks_match_one_call(self, freeze_lambda):
@@ -588,7 +626,7 @@ class TestSharedObjective:
         P = rng.uniform([-1, 0, 0, 0], [1, 5, 2, 2], (K, 4))  # (e, a, alpha, lambda)
         P[3, 1], P[K - 2, 3] = np.inf, np.nan  # rows whose value is not finite
         kw = {"freeze_lambda": freeze_lambda}
-        fg = _shared_objective(_shifted_fg, data, 1e-3, **kw)
+        fg = _stacked_objective(_shifted_fg, data, 1, 1e-3, **kw)
         with np.errstate(all="ignore"):
             f_ref, g_ref = _shifted_fg(P, *data, HuberParams(1e-3), True, **kw)
         f, g = fg(P)
@@ -608,7 +646,7 @@ class TestSharedObjective:
         cfg = FitConfig(grid_e=grid, grid_a=grid, grid_alpha=grid, grid_lambda=grid, rescale=Rescale(1.0, 1.0, 1.0))
         form = _FORMS["shifted"]
         data = form.data(pts, cfg, "flops")
-        fg = _shared_objective(form.fg, [a[None, :] for a in data], cfg.huber.delta)
+        fg = _stacked_objective(form.fg, [a[None, :] for a in data], 1, scaling.HUBER_DELTA)
         P = np.array(form.grid(cfg), dtype=float)
         assert P.shape == (625, 4)
         tracemalloc.start()

@@ -368,11 +368,38 @@ class TestCurveBand:
         hi = np.percentile(curves, 100.0 - lo_q, axis=0)
         assert res.curve_ci == [(g, float(a), float(b)) for g, a, b in zip(grid, lo, hi)]
 
-
     def test_nan_grid_point_rejected(self):
         bs_cfg = BootstrapConfig(resamples=5, curve_grid=(1.0, np.nan))
         with pytest.raises(ValueError, match="^inputs must be positive$"):
             bootstrap_fit(noisy_points(), "power", ID_CFG, bs_cfg, warm_start=True)
+
+    @pytest.mark.parametrize(
+        "fit_kind, grid, message",
+        [
+            ("power", (0.0,), "^inputs must be positive$"),
+            ("power", (1.0, np.nan), "^inputs must be positive$"),
+            ("power", ((1.0, 5.0),), "^curve_grid must hold one x value per point$"),
+            ("joint", ((10.0, 10.0), (1.0, np.nan)), "^inputs must be positive$"),
+            ("joint", (10.0, 100.0), r"^curve_grid must hold one \(n, d\) pair per point$"),
+        ],
+        ids=["power-zero", "power-nan", "power-pairs", "joint-nan", "joint-numbers"],
+    )
+    def test_bad_grid_raises_before_the_point_fit(self, monkeypatch, fit_kind, grid, message):
+        calls = []
+        fitter = FITS[fit_kind]
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fitter(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, fitter.__name__, counted)
+        points = noisy_points() if fit_kind == "power" else joint_points()
+        with pytest.raises(ValueError, match=message):
+            bootstrap_fit(
+                points, fit_kind, ID_CFG,
+                BootstrapConfig(resamples=1000, curve_grid=grid), warm_start=True,
+            )
+        assert calls == []
 
 
 class TestResampleRows:

@@ -9,7 +9,11 @@ Run it on two source trees and diff the two outputs. Each line is
 ``<case> <sha256>``. A case's digest covers:
 
 - every field of its point fit;
-- for a bootstrap case, ``param_ci``, ``curve_ci`` and ``n_failed_resamples``;
+- for a bootstrap case, ``param_ci``, ``curve_ci`` and ``n_failed_resamples``,
+  and the (R, d) matrix of every resample's fitted parameters, recorded from
+  the bootstrap's own ``_fit_resamples`` call: the intervals pin only two
+  order statistics per column, the matrix also every other draw and where
+  its NaN rows (failed resamples) fall;
 - ``minimize_batch``'s X, f, iterations, converged and grad_norm from the
   point fit's whole start grid, recorded from the fit's own call.
 
@@ -40,7 +44,7 @@ import zlib
 
 import numpy as np
 
-from scalefit import scaling
+from scalefit import scaling, uncertainty
 from scalefit.scaling import FitConfig, Rescale, fit_joint, fit_power_law, fit_shifted_power_law
 from scalefit.synth import CurveGenerator, gen_curve_points
 from scalefit.uncertainty import BootstrapConfig, bootstrap_fit
@@ -194,9 +198,26 @@ def recorded_start_grids():
         scaling.minimize_batch = real
 
 
+@contextlib.contextmanager
+def recorded_draws():
+    """A list that collects the (R, d) parameter matrix of every
+    `_fit_resamples` call `bootstrap_fit` makes while the context is open."""
+    outputs, real = [], uncertainty._fit_resamples
+
+    def record(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    uncertainty._fit_resamples = record
+    try:
+        yield outputs
+    finally:
+        uncertainty._fit_resamples = real
+
+
 def digest(points, kind, cfg, bootstrap, options) -> str:
     h = hashlib.sha256()
-    with warnings.catch_warnings(), recorded_start_grids() as start_grids:
+    with warnings.catch_warnings(), recorded_start_grids() as start_grids, recorded_draws() as draws:
         warnings.simplefilter("ignore")
         if bootstrap is None:
             fit = FITTERS[kind](points, cfg, **options)
@@ -204,7 +225,8 @@ def digest(points, kind, cfg, bootstrap, options) -> str:
             bs, warm, clusters = bootstrap
             res = bootstrap_fit(points, kind, cfg, bs, warm_start=warm, cluster_ids=clusters)
             fit = res.point_estimate
-            for value in (sorted(res.param_ci.items()), res.curve_ci, res.n_failed_resamples):
+            (matrix,) = draws
+            for value in (sorted(res.param_ci.items()), res.curve_ci, res.n_failed_resamples, matrix):
                 _feed(h, value)
     for f in dataclasses.fields(fit):
         _feed(h, (f.name, getattr(fit, f.name)))
