@@ -476,6 +476,20 @@ class TestBootstrap:
         assert lo <= payload["params"]["alpha"] * 1.5 and lo <= hi
         assert len(payload["curve_ci"]) == 5
 
+    @pytest.mark.parametrize("x", ["0", "-2", "nan"])
+    def test_bad_x_named_with_a_band(self, tmp_path, capsys, x):
+        # The band is built from X, and bootstrap_fit checks it before the
+        # point fit; X that is not positive builds none, so the fit names it.
+        pts = tmp_path / "bad.csv"
+        pts.write_text(f"x,l\n{x},0.9\n1,0.8\n2,0.7\n3,0.65\n4,0.6\n")
+        assert run(
+            "bootstrap", "--form", "power", "--x", "flops", "--points", str(pts),
+            "--no-rescale", "--resamples", "5", "--curve-points", "5",
+            "--output", str(tmp_path / "b.json"),
+        ) == 1
+        want = f"error: X values must be positive, got {float(x)}"
+        assert capsys.readouterr().err.strip().endswith(want)
+
 
 class TestScore:
     def test_neural_noiseless_high(self, tmp_path):
