@@ -689,10 +689,9 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind) -> np.ndarra
     or several where resamples x starts would pass _RUN_ROWS, so no data is
     padded. The counts rules take one array pass per length, and the starts
     (for joint fits, every resample's projection) and best starts one call
-    per run. Each
-    resample's rows run exactly the arithmetic its lone `_fit` would, the
-    line search included, which tries the step lengths of many rows, and
-    several of one row, in one objective call.
+    per run. Each resample's rows run exactly the arithmetic its lone
+    `_fit` would, the line search included, which tries the step lengths
+    of many rows, and several of one row, in one objective call.
     """
     form = _FORMS[fit_kind]
     resources, L = form.read(points, x_kind)
