@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import OptimizerConfig
 # Unused; kept for bench/selftest.py::test_shims_reach_every_importing_module.
-from .numerics import OptimizerConfig, minimize  # noqa: F401
+from .numerics import minimize  # noqa: F401
 
 __all__ = [
     "BenchmarkData",

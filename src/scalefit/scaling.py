@@ -339,17 +339,18 @@ def _in_blocks(kernel, K: int, n: int, need_grad: bool):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _stacked_objective(fg, data, starts: int, delta: float, **kw):
+def _stacked_objective(fg, data, starts: int, **kw):
     """The objective fg(P, rows=None, need_grad=True) of fits over R datasets.
 
     `data` holds per-point arrays of shape (R, n), one row per dataset, such
     as the arrays of all points gathered at each bootstrap resample's
     indices; batch row r belongs to dataset r // starts. With one dataset
     (R = 1) every row reads the (1, n) arrays as they are and `rows` is not
-    needed, which is how `minimize_batch` calls it. `kw` goes to `fg`. The
-    rows are evaluated in blocks of at most _CHUNK_ELEMS // n.
+    needed, which is how `minimize_batch` calls it. `fg` gets `kw` and the
+    loss at HUBER_DELTA. The rows are evaluated in blocks of at most
+    _CHUNK_ELEMS // n.
     """
-    hp = HuberParams(delta)
+    hp = HuberParams(HUBER_DELTA)
     n = data[0].shape[1]
     shared = len(data[0]) == 1
 
@@ -365,9 +366,9 @@ def _stacked_objective(fg, data, starts: int, delta: float, **kw):
     return objective
 
 
-def _power_objective(logX: np.ndarray, logL: np.ndarray, delta: float):
+def _power_objective(logX: np.ndarray, logL: np.ndarray):
     """Power-law objective on one dataset, log X and log L of shape (1, n)."""
-    return _stacked_objective(_power_fg, (logX, logL), 1, delta)
+    return _stacked_objective(_power_fg, (logX, logL), 1)
 
 
 # Start value of a linear coefficient the projection solves as zero, so
@@ -464,7 +465,7 @@ _E = _Param("E", "E", "grid_e", log=True, degeneracy=False)
 _A = _Param("A", "A", "grid_a", log=True)
 _ALPHA = _Param("alpha", "alpha", "grid_alpha")
 _LAMBDA = _Param("lambda", "lam", "grid_lambda", degeneracy=False)
-_B = _Param("B", "B", "grid_b", log=True, mirrors="grid_a")
+_B = _Param("B", "B", "grid_b", log=True)
 _BETA = _Param("beta", "beta", "grid_beta", mirrors="grid_alpha")
 
 # Resource kind (X_KINDS) of the n and d input columns; an x column has
@@ -656,7 +657,7 @@ def _fit(kind: str, points, cfg: FitConfig, x_kind: str, **objective_kw):
     data = form.data(points, cfg, x_kind)
     shared = [a[None, :] for a in data]
     nodes = form.grid(cfg)
-    fg = _stacked_objective(form.fg, shared, len(nodes), HUBER_DELTA, **objective_kw)
+    fg = _stacked_objective(form.fg, shared, len(nodes), **objective_kw)
     P0 = form.starts(shared, nodes)
     P, fvals, _, conv, _ = minimize_batch(fg, P0, _OPTIMIZER)
     (k,), (found,) = _select_best(P[None], fvals[None])
@@ -712,7 +713,7 @@ def _fit_resamples(points, draws, fit_kind, cfg: FitConfig, x_kind) -> np.ndarra
             run = members[c : c + per_run]
             stacked = [a[index[c : c + per_run]] for a in data]
             P0 = form.starts(stacked, nodes)
-            fg = _stacked_objective(form.fg, stacked, starts, HUBER_DELTA)
+            fg = _stacked_objective(form.fg, stacked, starts)
             X, f, _, _, _, started = _bfgs_rows(fg, P0, _OPTIMIZER)
             best, found = _select_best(X.reshape(len(run), starts, -1), f.reshape(len(run), starts))
             ok = np.flatnonzero(found & started.reshape(len(run), starts).all(axis=1))

@@ -1,9 +1,10 @@
 """Bootstrap confidence intervals for curve fits.
 
-Rows, or whole clusters of rows, are resampled with replacement; each
-resample index gets its own random stream derived from the base seed, so
-reruns produce bit-identical results. Every resample is refitted
-(`scaling._fit_resamples`) with the fit the point estimate used, from the
+Rows, or whole clusters of rows, are resampled with replacement, drawn in
+one call from one generator seeded with the base seed: an (R, n) matrix of
+row indices, or (R, clusters) of cluster picks. So reruns are bit-identical,
+and the first R resamples do not depend on how many are drawn. Each is
+refitted (`scaling._fit_resamples`) with the point estimate's fit, from the
 same start grid or, warm, from the point estimate. The resamples yield one
 (R, d) matrix of the fitted parameters, in the form's `params` order; the
 intervals are percentiles of its columns, and the curve band percentiles
@@ -147,18 +148,13 @@ def bootstrap_fit(
     point_fit = _fit_once(points, form, fit_cfg, x_kind)
     resample_cfg = _warm_cfg(fit_cfg, point_fit) if warm_start else fit_cfg
 
-    n_rows = len(points)
-    resample_idx = []
-    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
-        rng = np.random.default_rng(child)
-        if cluster_ids is None:
-            resample_idx.append(rng.integers(0, n_rows, size=n_rows))
-        else:
-            picks = rng.integers(0, len(clusters), size=len(clusters))
-            resample_idx.append(np.concatenate([clusters[p] for p in picks]))
+    units = len(points) if cluster_ids is None else len(clusters)  # drawn with replacement
+    picks = np.random.default_rng(bs_cfg.seed).integers(0, units, size=(bs_cfg.resamples, units))
+    if cluster_ids is not None:  # each resample's rows are those of its picked clusters
+        picks = [np.concatenate([clusters[p] for p in row]) for row in picks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        draws = _fit_resamples(points, resample_idx, fit_kind, resample_cfg, x_kind)
+        draws = _fit_resamples(points, picks, fit_kind, resample_cfg, x_kind)
     draws = draws[~np.isnan(draws).all(axis=1)]
 
     n_failed = bs_cfg.resamples - len(draws)

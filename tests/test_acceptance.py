@@ -288,7 +288,7 @@ def test_09_numerics():
             x_grid=tuple(np.logspace(-2, 2, 30)), noise_sigma_log=0.05, seed=0,
         )
     )
-    fg = _power_objective(np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :], 1e-3)
+    fg = _power_objective(np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :])
 
     def single(p):
         v, g = fg(np.asarray(p)[None, :])

@@ -421,7 +421,7 @@ def stacked_batch(kind, rng, datasets, starts, n):
             pts = np.column_stack([X, (0.5 + 0.6 * X**-0.2) * noise])
         data.append(form.data(pts, STACK_CFG, "flops"))
     stacked = [np.array(columns) for columns in zip(*data)]
-    fg = scaling._stacked_objective(form.fg, stacked, starts, 1e-3)
+    fg = scaling._stacked_objective(form.fg, stacked, starts)
     K, d = datasets * starts, len(form.params)
     x0 = rng.normal(0.0, 1.0, (K, d)) * 10 ** rng.uniform(-1, 1.5, (K, 1))
     x0[rng.random(K) < 1 / 16, 0] = np.nan

@@ -202,9 +202,7 @@ class TestFitPowerLaw:
     def test_objective_beats_every_grid_init(self):
         pts = power_points(0.52, 0.55, 0.16, sigma=0.05, seed=3)
         fit = fit_power_law(pts, ID_CFG)
-        fg = _power_objective(
-            np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :], scaling.HUBER_DELTA
-        )
+        fg = _power_objective(np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :])
         inits = np.array(
             list(itertools.product(ID_CFG.grid_e, ID_CFG.grid_a, ID_CFG.grid_alpha))
         )
@@ -547,9 +545,7 @@ class TestRegionGain:
 class TestObjectiveGradient:
     def test_matches_finite_differences(self):
         pts = power_points(0.52, 0.55, 0.16, sigma=0.05, seed=5)
-        fg = _power_objective(
-            np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :], 1e-3
-        )
+        fg = _power_objective(np.log(pts[:, 0])[None, :], np.log(pts[:, 1])[None, :])
 
         def single(p):
             v, g = fg(p[None, :])
@@ -576,10 +572,11 @@ class TestStackedObjective:
         rows = np.sort(rng.choice(starts * datasets, 5 * block // 2, replace=False))
         P = rng.uniform([-1, 0, 0], [1, 5, 2], (len(rows), 3))  # (e, a, alpha)
         P[block + 1, 1] = np.inf  # a row whose value and gradient are not finite
-        fg = _stacked_objective(_power_fg, data, starts, 1e-3)
+        fg = _stacked_objective(_power_fg, data, starts)
         owner = rows // starts
         with np.errstate(over="ignore", invalid="ignore"):
-            f_ref, g_ref = _power_fg(P, data[0][owner], data[1][owner], HuberParams(1e-3), True)
+            hp = HuberParams(scaling.HUBER_DELTA)
+            f_ref, g_ref = _power_fg(P, data[0][owner], data[1][owner], hp, True)
         f, g = fg(P, rows, True)
         assert not np.isfinite(f[block + 1]) and not np.all(np.isfinite(g[block + 1]))
         assert np.array_equal(f, f_ref, equal_nan=True)
@@ -604,8 +601,8 @@ class TestStackedObjective:
         rows = np.sort(rng.integers(0, starts * R, K))  # repeats, as in a line search
         P = rng.uniform([-1, 0, 0, 0][:d], [1, 5, 2, 2][:d], (K, d))
         P[3, 1], P[K - 2, 0] = np.inf, np.nan  # rows whose value is not finite
-        one = _stacked_objective(fg, data, starts, 1e-3, **kw)
-        repeated = _stacked_objective(fg, [np.repeat(a, R, axis=0) for a in data], starts, 1e-3, **kw)
+        one = _stacked_objective(fg, data, starts, **kw)
+        repeated = _stacked_objective(fg, [np.repeat(a, R, axis=0) for a in data], starts, **kw)
         f_ref, g_ref = repeated(P, rows, True)
         for f, g in (one(P, rows, True), one(P)):
             assert f.tobytes() == f_ref.tobytes() and g.tobytes() == g_ref.tobytes()
@@ -626,9 +623,9 @@ class TestSharedObjective:
         P = rng.uniform([-1, 0, 0, 0], [1, 5, 2, 2], (K, 4))  # (e, a, alpha, lambda)
         P[3, 1], P[K - 2, 3] = np.inf, np.nan  # rows whose value is not finite
         kw = {"freeze_lambda": freeze_lambda}
-        fg = _stacked_objective(_shifted_fg, data, 1, 1e-3, **kw)
+        fg = _stacked_objective(_shifted_fg, data, 1, **kw)
         with np.errstate(all="ignore"):
-            f_ref, g_ref = _shifted_fg(P, *data, HuberParams(1e-3), True, **kw)
+            f_ref, g_ref = _shifted_fg(P, *data, HuberParams(scaling.HUBER_DELTA), True, **kw)
         f, g = fg(P)
         assert not np.isfinite(f[3]) and not np.isfinite(f[K - 2])
         assert f.tobytes() == f_ref.tobytes() and f.shape == (K,)
@@ -646,7 +643,7 @@ class TestSharedObjective:
         cfg = FitConfig(grid_e=grid, grid_a=grid, grid_alpha=grid, grid_lambda=grid, rescale=Rescale(1.0, 1.0, 1.0))
         form = _FORMS["shifted"]
         data = form.data(pts, cfg, "flops")
-        fg = _stacked_objective(form.fg, [a[None, :] for a in data], 1, scaling.HUBER_DELTA)
+        fg = _stacked_objective(form.fg, [a[None, :] for a in data], 1)
         P = np.array(form.grid(cfg), dtype=float)
         assert P.shape == (625, 4)
         tracemalloc.start()

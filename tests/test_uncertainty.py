@@ -250,19 +250,17 @@ SMALL_CFG = FitConfig(
 
 
 def resample_draws(points, bs_cfg, cluster_ids=None):
-    """The row indices of each resample, from the streams bootstrap_fit draws them from."""
+    """The row indices of each resample. One generator, seeded with the
+    bootstrap seed, draws them in one call: every resample's row indices,
+    or its cluster picks, as one row of a (resamples, rows or clusters)
+    matrix."""
     n = len(points)
-    if cluster_ids is not None:
-        clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
-    draws = []
-    for child in np.random.SeedSequence(bs_cfg.seed).spawn(bs_cfg.resamples):
-        rng = np.random.default_rng(child)
-        if cluster_ids is None:
-            draws.append(rng.integers(0, n, size=n))
-        else:
-            picks = rng.integers(0, len(clusters), size=len(clusters))
-            draws.append(np.concatenate([clusters[p] for p in picks]))
-    return draws
+    rng = np.random.default_rng(bs_cfg.seed)
+    if cluster_ids is None:
+        return list(rng.integers(0, n, size=(bs_cfg.resamples, n)))
+    clusters = [np.flatnonzero(cluster_ids == c) for c in np.unique(cluster_ids)]
+    picks = rng.integers(0, len(clusters), size=(bs_cfg.resamples, len(clusters)))
+    return [np.concatenate([clusters[p] for p in row]) for row in picks]
 
 
 def one_at_a_time(point, points, fit_kind, fit_cfg, bs_cfg, warm_start, cluster_ids=None):
@@ -303,7 +301,7 @@ class TestBatchedMatchesOneAtATime:
             # 150 starts per resample: runs of several resamples each
             (noisy_points(n=30, seed=8), "power", ID_CFG, 12, False, None),
             # resamples that fail the count rules: < 3 distinct X; < 5 points or one N
-            (shifted_points(n=6), "shifted", SMALL_CFG, 40, True, None),
+            (shifted_points(n=6), "shifted", SMALL_CFG, 200, True, None),
             (SPARSE_JOINT, "joint", SMALL_CFG, 30, True, SPARSE_JOINT_CLUSTERS),
         ],
         ids=[
@@ -408,7 +406,7 @@ class TestResampleRows:
     @pytest.mark.parametrize(
         "points, fit_kind, resamples, cluster_ids",
         [
-            (shifted_points(n=6), "shifted", 40, None),
+            (shifted_points(n=6), "shifted", 200, None),
             (SPARSE_JOINT, "joint", 30, SPARSE_JOINT_CLUSTERS),
         ],
         ids=["shifted-warm-failures", "joint-clusters-failures"],
@@ -433,3 +431,35 @@ class TestResampleRows:
         for row, want in zip(draws, wants):
             if want is not None:
                 assert row.tobytes() == np.array(want).tobytes()
+
+
+class TestDrawContract:
+    """A bootstrap's draws come from one stream: the same seed gives the same
+    draws, and R resamples are the first R of any longer bootstrap."""
+
+    @staticmethod
+    def recorded_draws(monkeypatch, resamples, cluster_ids):
+        """The row indices of every resample `bootstrap_fit` hands to `_fit_resamples`."""
+        calls = []
+
+        def record(points, draws, *args, **kwargs):
+            calls.append([np.asarray(idx).tolist() for idx in draws])
+            return _fit_resamples(points, draws, *args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "_fit_resamples", record)
+        bootstrap_fit(
+            noisy_points(seed=6), "power", SMALL_CFG, BootstrapConfig(resamples=resamples, seed=5),
+            warm_start=True, cluster_ids=cluster_ids,
+        )
+        (draws,) = calls
+        assert len(draws) == resamples
+        return draws
+
+    @pytest.mark.parametrize("cluster_ids", [None, UNEQUAL_CLUSTERS], ids=["rows", "clusters-unequal"])
+    def test_draws_are_a_prefix_and_repeat(self, monkeypatch, cluster_ids):
+        R = 20
+        draws = self.recorded_draws(monkeypatch, R, cluster_ids)
+        longer = self.recorded_draws(monkeypatch, 3 * R, cluster_ids)
+        assert draws == longer[:R]
+        assert longer[R:] != longer[:R]
+        assert self.recorded_draws(monkeypatch, R, cluster_ids) == draws

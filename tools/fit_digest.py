@@ -124,7 +124,7 @@ def cases():
         ("clusters-unequal", power_points(seed=6), "power", SMALL_CFG, 30, True, unequal),
         ("power-warm-blocks", power_points(n=60, seed=9), "power", SMALL_CFG, 300, True, None),
         ("power-cold-runs", power_points(n=30, seed=8), "power", ID_CFG, 12, False, None),
-        ("shifted-warm-failures", shifted_points(n=6), "shifted", SMALL_CFG, 40, True, None),
+        ("shifted-warm-failures", shifted_points(n=6), "shifted", SMALL_CFG, 200, True, None),
         ("joint-clusters-failures", sparse, "joint", SMALL_CFG, 30, True, sparse_clusters),
     ]
     for name, pts, kind, cfg, resamples, warm, clusters in batched:
