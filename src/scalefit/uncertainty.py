@@ -148,7 +148,7 @@ def bootstrap_fit(
     point_fit = _fit_once(points, form, fit_cfg, x_kind)
     resample_cfg = _warm_cfg(fit_cfg, point_fit) if warm_start else fit_cfg
 
-    units = len(points) if cluster_ids is None else len(clusters)  # drawn with replacement
+    units = len(points) if cluster_ids is None else len(clusters)  # rows or clusters, drawn alike
     picks = np.random.default_rng(bs_cfg.seed).integers(0, units, size=(bs_cfg.resamples, units))
     if cluster_ids is not None:  # each resample's rows are those of its picked clusters
         picks = [np.concatenate([clusters[p] for p in row]) for row in picks]
