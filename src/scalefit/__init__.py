@@ -13,10 +13,8 @@ from .numerics import (
 from .records import (
     RunRecord,
     RunTable,
-    AggregateScore,
     ingest,
     export,
-    aggregate_score,
     filter_for_fit,
 )
 from .scaling import (

@@ -32,11 +32,9 @@ from .records import (
     REGIONS,
     RESOURCE_FIELDS,
     SCORE_COLUMNS,
-    RunRecord,
-    RunTable,
+    _bound_faults,
     _clamp_score,
     _mean,
-    _text_columns,
     export,
     filter_for_fit,
     ingest,
@@ -542,10 +540,13 @@ def cmd_simulate(args) -> int:
 
 
 def _runs_from_points(args, pts: np.ndarray) -> list:
-    """Run-table rows, in CSV_COLUMNS order, with every region score set to S = 1 - L."""
+    """Run-table rows, in CSV_COLUMNS order, with every region score set to S = 1 - L.
+
+    A run outside ingest's bounds, such as one whose flops overflow, is a ValueError.
+    """
     if pts.shape[1] != 2:
         raise ValueError("--as-runs supports power/shifted points only")
-    recs = []
+    rows = []
     for i, (x, l) in enumerate(pts):
         s = 1.0 - l
         if not 0.0 <= s <= 1.0:
@@ -553,13 +554,13 @@ def _runs_from_points(args, pts: np.ndarray) -> list:
         n_params = round(x) if args.x_kind == "params" else 1_000_000
         samples = round(x) if args.x_kind == "samples" else 10_000_000
         flops = x if args.x_kind == "flops" else 6.0 * n_params * samples
-        recs.append(RunRecord(
-            run_id=f"sim{i}", family="Synthetic", arch="synthetic", dataset="synthetic",
-            samples_per_class="full", seed=args.seed, n_params=max(n_params, 1),
-            samples_seen=max(samples, 1), flops=flops, scores=dict.fromkeys(REGIONS, s),
-        ))
-    columns = _text_columns(RunTable(recs))
-    return list(zip(*(columns[c] for c in CSV_COLUMNS)))
+        rows.append([f"sim{i}", "Synthetic", "synthetic", "synthetic", "full", args.seed,
+                     max(n_params, 1), max(samples, 1), flops, *[s] * len(REGIONS)])
+    columns = dict(zip(CSV_COLUMNS, zip(*rows)), val_accuracy=[None] * len(rows))
+    faults = _bound_faults(columns, {}) if rows else {}
+    if faults:
+        raise ValueError(faults[min(faults)])  # the first bad run's first fault
+    return rows
 
 
 def cmd_report(args) -> int:

@@ -7,10 +7,10 @@ import math
 import warnings
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
-from itertools import compress, repeat
+from dataclasses import dataclass, field, fields
+from itertools import compress, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 REGIONS = ("V1", "V2", "V4", "IT", "behavior")
 
@@ -45,8 +45,6 @@ CSV_COLUMNS = [
 OPTIONAL_COLUMNS = [c for c, _, optional in _FIELD_COLUMNS if optional]
 # Every column in file order: the mandatory ones, then the optional ones.
 _COLUMNS = (*CSV_COLUMNS, *OPTIONAL_COLUMNS)
-# RunRecord's fields in _FIELD_COLUMNS order, then its scores.
-_RECORD_FIELDS = (*(c for c, _, _ in _FIELD_COLUMNS), "scores")
 
 FORMAT_VERSION = "1"
 
@@ -54,7 +52,7 @@ FORMAT_VERSION = "1"
 RESOURCE_FIELDS = {"flops": "flops", "params": "n_params", "samples": "samples_seen"}
 
 
-# RunRecord's bounds, in the order they are checked: (field, test, message). Each
+# A run's bounds, in the order they are checked: (column, test, message). Each
 # test passes an interval of numbers, which NaN is never in, and perhaps values of
 # another type; the message is formatted with the value.
 _BOUNDS = (
@@ -77,7 +75,7 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One trained-model evaluation run."""
+    """One trained-model evaluation run, as RunTable.rows gives it; ingest checks its values."""
 
     run_id: str
     family: str
@@ -91,41 +89,18 @@ class RunRecord:
     scores: dict = field(default_factory=dict)  # region -> score in [0, 1]
     val_accuracy: float | None = None
 
-    def __post_init__(self):
-        for name, test, message in _BOUNDS:
-            if name == "val_accuracy":  # the scores are checked before it
-                for region, s in self.scores.items():
-                    if region not in REGIONS:
-                        raise ValueError(f"run {self.run_id}: unknown region {region!r}")
-                    if not 0.0 <= s <= 1.0:
-                        raise ValueError(f"run {self.run_id}: score {region}={s} outside [0, 1]")
-            value = getattr(self, name)
-            if not test(value):
-                raise ValueError(f"run {self.run_id}: {message.format(value)}")
-
 
 class RunTable:
     """A run table held as checked columns, its RunRecords built only when asked for.
 
-    `columns` maps each column of _COLUMNS to a tuple of its values, one per
-    run, as the RunRecord fields hold them: a score column holds its region's
-    scores, and an absent val_accuracy is None. `rows` builds the records on
-    first use. A table built from records holds their columns.
+    ingest builds every table, and seed averaging and filter_for_fit derive
+    tables from its columns. `columns` maps each column of _COLUMNS to the
+    checked values ingest gives it, one per run, as the RunRecord fields hold
+    them: a score column holds its region's scores, and an absent val_accuracy
+    is None. `rows` builds the records on first use.
     """
 
-    def __init__(self, rows=(), provenance: str = ""):
-        rows = tuple(rows)
-        self._hold(_record_columns(rows), provenance)
-        self._rows = rows
-
-    @classmethod
-    def _of_columns(cls, columns: dict, provenance: str) -> RunTable:
-        """The table of checked columns, by name, each an iterable of values."""
-        table = cls.__new__(cls)
-        table._hold(columns, provenance)
-        return table
-
-    def _hold(self, columns: dict, provenance: str) -> None:
+    def __init__(self, columns: dict, provenance: str):
         self.columns = {c: tuple(columns[c]) for c in _COLUMNS}
         self.provenance = provenance
         self._rows = None
@@ -138,30 +113,20 @@ class RunTable:
     def rows(self) -> tuple:
         """The table's RunRecords, one per run in table order."""
         if self._rows is None:
-            columns = self.columns
+            columns = dict(self.columns)
             scores = zip(*(columns[c] for c in SCORE_COLUMNS.values()))
-            by_region = map(dict, map(zip, repeat(REGIONS), scores))
-            fields = zip(*(columns[c] for c, _, _ in _FIELD_COLUMNS), by_region)
-            self._rows = tuple(_trusted_record(zip(_RECORD_FIELDS, row)) for row in fields)
+            columns["scores"] = map(dict, map(zip, repeat(REGIONS), scores))
+            by_field = zip(*(columns[f.name] for f in fields(RunRecord)))
+            self._rows = tuple(starmap(RunRecord, by_field))
         return self._rows
 
     def __len__(self):
         return len(self.columns["run_id"])
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, RunTable):
             return NotImplemented
         return (self.columns, self.provenance) == (other.columns, other.provenance)
-
-
-@dataclass(frozen=True)
-class AggregateScore:
-    S: float
-    L: float
-    regions_used: tuple
 
 
 def _clamp_score(value: float) -> float:
@@ -185,14 +150,6 @@ def _mean(values) -> float:
         return min(math.fsum(v / scale for v in values) / len(values) * scale, max(values))
 
 
-def _trusted_record(fields) -> RunRecord:
-    """A RunRecord of fields, a dict or (name, value) pairs, that already pass
-    __post_init__'s checks, built without running them."""
-    rec = object.__new__(RunRecord)
-    rec.__dict__.update(fields)
-    return rec
-
-
 def _convert(values, fn, absent) -> list:
     """fn of each value, with `absent` in place of each None."""
     if None in values:
@@ -205,7 +162,7 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
 
     The table is checked column by column, in the order of a row's checks: a
     JSON object, every mandatory cell, each field's parse, each score's parse
-    and range, RunRecord's bounds, then a run_id that no earlier good row
+    and range, the bounds of _BOUNDS, then a run_id that no earlier good row
     holds. The IngestError lists each bad row's first fault. A score in
     [-0.05, 1.05] but outside [0, 1] is clamped into it, with a warning unless
     its row has an earlier fault.
@@ -218,7 +175,7 @@ def ingest(path, format: str = "csv", average_seeds: bool = False) -> RunTable:
     else:
         raise ValueError(f"unknown format {format!r}")
     checked = _checked_columns(columns, not_objects)
-    table = RunTable._of_columns(checked, f"{path}#v{FORMAT_VERSION}")
+    table = RunTable(checked, f"{path}#v{FORMAT_VERSION}")
     if average_seeds:
         table = _average_seeds(table)
     return table
@@ -295,10 +252,8 @@ def _checked_columns(columns, not_objects) -> dict:
             else:
                 clamped.append((i, region, s))
         scores.append(score)
+    _bound_faults(values, faults)
     run_ids = values["run_id"]
-    for name, test, message in _BOUNDS:
-        for i in _failing(values[name], test, faults):
-            faults[i] = f"run {run_ids[i]}: {message.format(values[name][i])}"
     if len(set(run_ids)) != len(run_ids):
         seen = set()
         for i, run_id in enumerate(run_ids):
@@ -311,6 +266,18 @@ def _checked_columns(columns, not_objects) -> dict:
     if faults:
         raise IngestError(f"row {i + 1}: {faults[i]}" for i in sorted(faults))
     return {**values, **dict(zip(SCORE_COLUMNS.values(), scores))}
+
+
+def _bound_faults(columns, faults) -> dict:
+    """`faults` with each row's first _BOUNDS fault added, for a row that has none yet.
+
+    `columns` holds the run_id column and each bounded column, by name.
+    """
+    run_ids = columns["run_id"]
+    for name, test, message in _BOUNDS:
+        for i in _failing(columns[name], test, faults):
+            faults[i] = f"run {run_ids[i]}: {message.format(columns[name][i])}"
+    return faults
 
 
 def _parse_column(cells, parse, faults) -> list:
@@ -358,7 +325,7 @@ def _mean_of_given(values):
 _SEED_GROUP = ("family", "arch", "dataset", "samples_per_class", "n_params")
 # How seed averaging reduces a column over a group of rows; a column not named
 # takes the group's first value. Each mean meets the bounds its values meet, so
-# the averaged table's rows need no __post_init__ checks.
+# the averaged columns need no further checks.
 _SEED_AVERAGES = {
     "run_id": lambda ids: ids[0] + "_seedavg",
     "seed": lambda seeds: -1,
@@ -384,27 +351,7 @@ def _average_seeds(table: RunTable) -> RunTable:
         if reduce is not None:
             for j, take in repeats:
                 column[j] = reduce(take(values))
-    return RunTable._of_columns(averaged, table.provenance + "#seedavg")
-
-
-def _record_columns(recs) -> dict:
-    """The columns of RunRecords, by name; a record without a score for every region
-    is a ValueError."""
-    for r in recs:
-        missing = [region for region in REGIONS if region not in r.scores]
-        if missing:
-            raise ValueError(f"run {r.run_id}: no score for region(s) {', '.join(missing)}")
-    names = [c for c, _, _ in _FIELD_COLUMNS]
-    fields = list(zip(*map(attrgetter(*names), recs))) or [()] * len(names)
-    scores = list(zip(*map(itemgetter(*REGIONS), map(attrgetter("scores"), recs))))
-    columns = dict(zip(names, fields))
-    columns.update(zip(SCORE_COLUMNS.values(), scores or [()] * len(REGIONS)))
-    return columns
-
-
-def _text_columns(table: RunTable) -> dict:
-    """Each column of `table`, by name: every value through str, an absent one None."""
-    return {c: _convert(values, str, None) for c, values in table.columns.items()}
+    return RunTable(averaged, table.provenance + "#seedavg")
 
 
 # One exported JSON row in json.dump's indent=2, sort_keys=True layout, with a %s per value.
@@ -421,7 +368,8 @@ def export(table: RunTable, path, format: str = "csv") -> None:
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    columns = _text_columns(table)
+    # Each column's values through str, an absent one None.
+    columns = {c: _convert(values, str, None) for c, values in table.columns.items()}
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -432,15 +380,6 @@ def export(table: RunTable, path, format: str = "csv") -> None:
         rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*encoded)))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")
-
-
-def aggregate_score(scores: dict) -> AggregateScore:
-    """Mean alignment across the five regions and its complement L = 1 - S."""
-    missing = [r for r in REGIONS if r not in scores]
-    if missing:
-        raise ValueError(f"missing region(s): {', '.join(missing)}")
-    S = _mean([scores[r] for r in REGIONS])
-    return AggregateScore(S=S, L=1.0 - S, regions_used=REGIONS)
 
 
 # Families whose low-data runs are excluded from the restricted fits.
@@ -468,4 +407,4 @@ def filter_for_fit(table: RunTable, rule: str = "none") -> RunTable:
         raise ValueError(f"unknown filter rule {rule!r}; known: {sorted(FILTER_RULES)}")
     keep = FILTER_RULES[rule](table.columns)
     kept = {c: compress(values, keep) for c, values in table.columns.items()}
-    return RunTable._of_columns(kept, table.provenance)
+    return RunTable(kept, table.provenance)

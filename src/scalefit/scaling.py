@@ -75,8 +75,10 @@ class Rescale:
     d_scale: float = 1e4
 
     def __post_init__(self):
-        if min(self.c_scale, self.n_scale, self.d_scale) <= 0:
-            raise ValueError("rescale factors must be positive")
+        for name in ("c_scale", "n_scale", "d_scale"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails both tests
+                raise ValueError(f"{name} must be positive and finite, got {float(value)}")
 
     def factor(self, x_kind: str) -> float:
         if x_kind == "flops":
@@ -104,7 +106,7 @@ class FitConfig:
     grid_a: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     grid_alpha: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
     grid_lambda: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
-    # b and beta start values mirror a and alpha unless overridden.
+    # beta's start values mirror alpha's unless overridden; no fit reads grid_b.
     grid_b: tuple | None = None
     grid_beta: tuple | None = None
     rescale: Rescale = field(default_factory=Rescale)

@@ -58,16 +58,16 @@ def gen_curve_points(g: CurveGenerator) -> np.ndarray:
             np.asarray(g.n_grid, dtype=float), np.asarray(g.d_grid, dtype=float)
         )
         N, D = N.ravel(), D.ravel()
-        if np.any(N <= 0) or np.any(D <= 0):
-            raise ValueError("grids must be positive")
+        if not np.all((0 < N) & (N < np.inf) & (0 < D) & (D < np.inf)):
+            raise ValueError("grids must be positive and finite")
         L = p["E"] + p["A"] / N ** p["alpha"] + p["B"] / D ** p["beta"]
         if g.noise_sigma_log > 0:
             L = L * np.exp(rng.normal(0.0, g.noise_sigma_log, size=L.shape))
         return np.column_stack([N, D, L])
 
     X = np.asarray(g.x_grid, dtype=float)
-    if np.any(X <= 0):
-        raise ValueError("grids must be positive")
+    if not np.all((0 < X) & (X < np.inf)):  # NaN fails both tests
+        raise ValueError("grids must be positive and finite")
     if g.form == "power":
         L = p["E"] + p["A"] * X ** (-p["alpha"])
     else:

@@ -12,7 +12,7 @@ from scalefit.cli import (
     build_parser,
     main,
 )
-from scalefit.records import CSV_COLUMNS, OPTIONAL_COLUMNS, REGIONS, RunRecord, RunTable, ingest
+from scalefit.records import CSV_COLUMNS, OPTIONAL_COLUMNS, ingest
 from scalefit.scaling import (
     FitConfig,
     Rescale,
@@ -119,6 +119,27 @@ class TestSimulate:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
+
+    def test_as_runs_rejects_overflowing_flops(self, tmp_path, capsys):
+        # at x = 10^303.5 params, 6 N D passes the largest float
+        out = tmp_path / "runs.csv"
+        assert run(
+            "simulate", "--kind", "curve", "--form", "power", "--E", "0.3", "--A", "0.1",
+            "--x-min", "1e300", "--x-max", "1e307", "--n-points", "3",
+            "--as-runs", "--x-kind", "params", "--output", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: run sim1: flops must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x_max", ["inf", "1e400", "nan"])
+    def test_curve_rejects_grid_past_the_floats(self, tmp_path, capsys, x_max):
+        out = tmp_path / "points.csv"
+        with np.errstate(invalid="ignore"):  # logspace's own warning on an infinite span
+            code = run("simulate", "--kind", "curve", "--x-min", "1", "--x-max", x_max,
+                       "--output", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: grids must be positive and finite\n"
+        assert not out.exists()
 
     def test_as_runs_rejects_negative_scores(self, tmp_path):
         # E + A at x=1 is 1.07 -> S = -0.07, not a valid score
@@ -315,13 +336,12 @@ class TestFit:
         ("brain", (0.58, 0.9, 0.68, 0.93, 0.5), 0.22750000000000004),
         ("v4", (0.1, 0.2, 0.3, 0.4, 0.5), 0.7),
     ])
-    def test_target_mean_is_fsum_then_one_division(self, target, scores, L):
+    def test_target_mean_is_fsum_then_one_division(self, tmp_path, target, scores, L):
         # a left-to-right sum of the mean and brain scores gives another last digit
-        run_ = RunRecord(
-            run_id="r", family="ResNet", arch="r18", dataset="eco", samples_per_class="full",
-            seed=0, n_params=1000, samples_seen=1000, flops=1e9, scores=dict(zip(REGIONS, scores)),
-        )
-        assert _target_misalignment(RunTable(rows=(run_,)), target) == [L]
+        runs = tmp_path / "runs.csv"
+        row = ["r", "ResNet", "r18", "eco", "full", "0", "1000", "1000", "1e9", *map(repr, scores)]
+        runs.write_text(f"{','.join(CSV_COLUMNS)}\n{','.join(row)}\n")
+        assert _target_misalignment(ingest(runs), target) == [L]
 
     def test_joint_fit_at_default_rescale_reaches_unscaled_optimum(self, joint_reports):
         # At the default rescale (N / 1e5, D / 1e4) the truth's log A is about -3.9.
@@ -818,10 +838,10 @@ class TestIngestCommand:
              "--filter", "convnext_vit_restricted", "--output", tmp_path / "fit.json"],
         ]
 
-        def no_record(fields):
+        def no_record(*fields):
             raise AssertionError("a RunRecord was built")
 
-        monkeypatch.setattr(records, "_trusted_record", no_record)
+        monkeypatch.setattr(records, "RunRecord", no_record)
         assert [run(*map(str, argv)) for argv in commands] == [0, 0, 0, 0]
         monkeypatch.undo()
         kept = [r.run_id for r in ingest(filtered).rows]

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -13,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scalefit.cli import main
 from scalefit.records import (
     CSV_COLUMNS,
     OPTIONAL_COLUMNS,
     IngestError,
     RunRecord,
     RunTable,
-    aggregate_score,
     export,
     filter_for_fit,
     ingest,
@@ -42,11 +44,22 @@ def write_csv(tmp_path, lines, name="runs.csv"):
     return path
 
 
+# A run's bounds, in the order ingest checks them: (field, test, message).
+REFERENCE_BOUNDS = (
+    ("n_params", lambda v: v >= 1, "n_params must be >= 1"),
+    ("samples_seen", lambda v: v >= 1, "samples_seen must be >= 1"),
+    ("flops", lambda v: 0.0 < v < math.inf, "flops must be positive"),
+    ("samples_per_class", lambda v: v == "full" or v >= 1,
+     "samples_per_class must be a positive integer or 'full', got {!r}"),
+    ("val_accuracy", lambda v: v is None or 0.0 <= v <= 1.0, "val_accuracy outside [0, 1]"),
+)
+
+
 def reference_ingest(rows):
     """(errors, warnings, records) of a run table, checked row by row with the
-    column parsers and RunRecord; a table with an error has no records. A row
-    is a dict of cell texts, where an absent or empty cell is missing, or any
-    other value for a non-object."""
+    column parsers and REFERENCE_BOUNDS; a table with an error has no records.
+    A row is a dict of cell texts, where an absent or empty cell is missing, or
+    any other value for a non-object."""
     errors, warned, records, seen = [], [], [], set()
     for i, row in enumerate(rows, start=1):
         try:
@@ -65,6 +78,9 @@ def reference_ingest(rows):
                     warned.append(f"score {score} clamped into [0, 1]")
                     score = min(max(score, 0.0), 1.0)
                 scores[region] = score
+            for name, test, message in REFERENCE_BOUNDS:
+                if not test(fields[name]):
+                    raise ValueError(f"run {fields['run_id']}: {message.format(fields[name])}")
             rec = RunRecord(scores=scores, **fields)
             if rec.run_id in seen:
                 raise ValueError(f"duplicate run_id {rec.run_id!r}")
@@ -101,6 +117,37 @@ def make_record(run_id="r", family="ResNet", spc="full", seed=0, scores=None, **
         scores=scores or {"V1": 0.31, "V2": 0.29, "V4": 0.40, "IT": 0.38, "behavior": 0.35},
         val_accuracy=kw.get("val_accuracy"),
     )
+
+
+def row_of(rec):
+    """`rec` as the run-table row export writes: every value a str, an absent one None."""
+    row = {
+        "run_id": rec.run_id, "family": rec.family, "arch": rec.arch, "dataset": rec.dataset,
+        "samples_per_class": str(rec.samples_per_class), "seed": str(rec.seed),
+        "n_params": str(rec.n_params), "samples_seen": str(rec.samples_seen),
+        "flops": str(rec.flops),
+        "val_accuracy": None if rec.val_accuracy is None else str(rec.val_accuracy),
+    }
+    row.update({f"score_{region.lower()}": str(s) for region, s in rec.scores.items()})
+    return row
+
+
+def reference_exports(recs) -> dict:
+    """The bytes export writes for records, by format, from json.dump and csv.DictWriter."""
+    as_json = io.StringIO()
+    json.dump([row_of(r) for r in recs], as_json, indent=2, sort_keys=True)
+    as_csv = io.StringIO(newline="")
+    writer = csv.DictWriter(as_csv, fieldnames=CSV_COLUMNS + OPTIONAL_COLUMNS)
+    writer.writeheader()
+    writer.writerows(row_of(r) for r in recs)
+    return {"json": (as_json.getvalue() + "\n").encode(), "csv": as_csv.getvalue().encode()}
+
+
+def table_file(tmp_path, recs, fmt="csv", name="records"):
+    """A run-table file holding the records, as export writes them."""
+    path = tmp_path / f"{name}.{fmt}"
+    path.write_bytes(reference_exports(recs)[fmt])
+    return path
 
 
 class TestIngest:
@@ -301,11 +348,6 @@ class TestMeanRule:
         (rec,) = ingest(path, average_seeds=True).rows
         assert (rec.scores["IT"], rec.flops, rec.val_accuracy) == (mean, mean, mean)
 
-    @pytest.mark.parametrize("values, mean", [c for c in MEAN_CASES if len(c[0]) == 5])
-    def test_aggregate_score(self, values, mean):
-        s = aggregate_score(dict(zip(("V1", "V2", "V4", "IT", "behavior"), values)))
-        assert (s.S, s.L) == (mean, 1.0 - mean)
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -325,17 +367,10 @@ class TestRoundTrip:
         )
         table = ingest(path)
         if numpy_scalars:
-            # records built from numpy results must still export as plain numbers
-            table = RunTable(
-                rows=tuple(
-                    replace(
-                        r,
-                        flops=np.float64(r.flops),
-                        scores={k: np.float64(v) for k, v in r.scores.items()},
-                    )
-                    for r in table.rows
-                )
-            )
+            # columns of numpy results must still export as plain numbers
+            floats = ["flops", *SCORE_COLUMNS.values()]
+            numpy_columns = {c: tuple(map(np.float64, table.columns[c])) for c in floats}
+            table = RunTable({**table.columns, **numpy_columns}, table.provenance)
         out = tmp_path / f"out.{fmt}"
         export(table, out, format=fmt)
         table2 = ingest(out, format=fmt)
@@ -396,12 +431,14 @@ class TestColumnCheck:
             line(n_params="0", flops="0") + ",",
             line(run_id="r2", samples_seen="0", samples_per_class="0") + ",",
             line(run_id="r3", samples_per_class="0") + ",2",
+            line(run_id="r4", score_v1="1.5") + ",2",
         ]
         errors, warned, _ = ingest_outcome(write_csv(tmp_path, lines))
         assert errors == [
             "row 1: run r1: n_params must be >= 1",
             "row 2: run r2: samples_seen must be >= 1",
             "row 3: run r3: samples_per_class must be a positive integer or 'full', got 0",
+            "row 4: score 1.5 outside acceptable range [-0.05, 1.05]",
         ]
         assert warned == []
 
@@ -463,19 +500,6 @@ class TestColumnCheck:
         assert list(map(repr, got[2])) == list(map(repr, want[2]))
 
 
-def row_of(rec):
-    """`rec` as the run-table row export writes: every value a str, an absent one None."""
-    row = {
-        "run_id": rec.run_id, "family": rec.family, "arch": rec.arch, "dataset": rec.dataset,
-        "samples_per_class": str(rec.samples_per_class), "seed": str(rec.seed),
-        "n_params": str(rec.n_params), "samples_seen": str(rec.samples_seen),
-        "flops": str(rec.flops),
-        "val_accuracy": None if rec.val_accuracy is None else str(rec.val_accuracy),
-    }
-    row.update({f"score_{region.lower()}": str(s) for region, s in rec.scores.items()})
-    return row
-
-
 class TestExportBytes:
     RECORDS = (
         make_record("r\u00e9sn\u00e9t-\u4e2d", val_accuracy=0.7),
@@ -483,125 +507,101 @@ class TestExportBytes:
         make_record("back\\slash", family="a\\b", spc=10, val_accuracy=None),
     )
 
+    # Each test ingests the records as one format writes them and exports the other.
     @pytest.mark.parametrize("rows", [RECORDS, ()], ids=["edge-values", "empty"])
     def test_json_matches_json_dump(self, tmp_path, rows):
         out = tmp_path / "out.json"
-        export(RunTable(rows=rows), out, format="json")
-        want = io.StringIO()
-        json.dump([row_of(r) for r in rows], want, indent=2, sort_keys=True)
-        assert out.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
+        export(ingest(table_file(tmp_path, rows)), out, format="json")
+        assert out.read_bytes() == reference_exports(rows)["json"]
 
     @pytest.mark.parametrize("rows", [RECORDS, ()], ids=["edge-values", "empty"])
     def test_csv_matches_dict_writer(self, tmp_path, rows):
         out = tmp_path / "out.csv"
-        export(RunTable(rows=rows), out, format="csv")
-        want = io.StringIO(newline="")
-        writer = csv.DictWriter(want, fieldnames=CSV_COLUMNS + OPTIONAL_COLUMNS)
-        writer.writeheader()
-        writer.writerows(row_of(r) for r in rows)
-        assert out.read_bytes() == want.getvalue().encode("utf-8")
+        export(ingest(table_file(tmp_path, rows, "json"), format="json"), out, format="csv")
+        assert out.read_bytes() == reference_exports(rows)["csv"]
 
     def test_edge_values_round_trip(self, tmp_path):
+        table = ingest(table_file(tmp_path, self.RECORDS))
+        assert table.rows == self.RECORDS
         for fmt in ("csv", "json"):
             out = tmp_path / f"out.{fmt}"
-            export(RunTable(rows=self.RECORDS), out, format=fmt)
+            export(table, out, format=fmt)
             assert ingest(out, format=fmt).rows == self.RECORDS
 
 
+def bound_fault(tmp_path, **cells):
+    """ingest's one error for ROW with `cells` replaced, val_accuracy "0.5" unless given."""
+    accuracy = cells.pop("val_accuracy", "0.5")
+    path = write_csv(tmp_path, [HEADER + ",val_accuracy", f"{line(**cells)},{accuracy}"])
+    (error,), _, _ = ingest_outcome(path)
+    return error
+
+
 class TestRecordInvariants:
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            make_record(n_params=0)
-        with pytest.raises(ValueError):
-            make_record(flops=0.0)
+    """A run's bounds, as ingest checks them, and a table's distinct run_ids."""
 
-    def test_rejects_nan_flops(self):
-        with pytest.raises(ValueError, match="^run r: flops must be positive$"):
-            make_record(flops=float("nan"))
+    def test_rejects_bad_counts(self, tmp_path):
+        assert bound_fault(tmp_path, n_params="0") == "row 1: run r1: n_params must be >= 1"
+        assert bound_fault(tmp_path, flops="0.0") == "row 1: run r1: flops must be positive"
 
-    def test_rejects_inf_flops(self):
-        with pytest.raises(ValueError, match="^run r: flops must be positive$"):
-            make_record(flops=float("inf"))
+    def test_rejects_nan_flops(self, tmp_path):
+        assert bound_fault(tmp_path, flops="nan") == "row 1: run r1: flops must be positive"
+
+    def test_rejects_inf_flops(self, tmp_path):
+        assert bound_fault(tmp_path, flops="inf") == "row 1: run r1: flops must be positive"
 
     @pytest.mark.parametrize("kw, message", [
-        ({"n_params": 0, "flops": 0.0}, "n_params must be >= 1"),
-        ({"samples_seen": 0, "val_accuracy": 2.0}, "samples_seen must be >= 1"),
-        ({"flops": -1.0, "spc": 0}, "flops must be positive"),
-        ({"spc": 2.0}, "samples_per_class must be a positive integer or 'full', got 2.0"),
-        ({"scores": {"V1": 1.5}, "val_accuracy": 2.0}, "score V1=1.5 outside [0, 1]"),
-        ({"scores": {"V9": 0.5}}, "unknown region 'V9'"),
-        ({"val_accuracy": float("nan")}, "val_accuracy outside [0, 1]"),
+        ({"n_params": "0", "flops": "0"}, "n_params must be >= 1"),
+        ({"samples_seen": "0", "val_accuracy": "2"}, "samples_seen must be >= 1"),
+        ({"flops": "-1", "samples_per_class": "0"}, "flops must be positive"),
+        ({"samples_per_class": "0", "val_accuracy": "2"},
+         "samples_per_class must be a positive integer or 'full', got 0"),
+        ({"flops": "inf", "val_accuracy": "nan"}, "flops must be positive"),
+        ({"samples_seen": "-1", "flops": "nan"}, "samples_seen must be >= 1"),
+        ({"val_accuracy": "nan"}, "val_accuracy outside [0, 1]"),
     ])
-    def test_first_fault_message(self, kw, message):
+    def test_first_fault_message(self, tmp_path, kw, message):
+        assert bound_fault(tmp_path, **kw) == f"row 1: run r1: {message}"
+
+    def test_rejects_bad_spc(self, tmp_path):
+        error = bound_fault(tmp_path, samples_per_class="half")
+        assert error == "row 1: invalid literal for int() with base 10: 'half'"
+
+    def test_table_rejects_duplicates(self, tmp_path):
+        columns = ingest(write_csv(tmp_path, [HEADER, ROW])).columns
+        with pytest.raises(ValueError, match=r"^duplicate run_id values: \['r1'\]$"):
+            RunTable({c: values * 2 for c, values in columns.items()}, "")
+
+    def test_table_lists_each_duplicate_once_sorted(self, tmp_path):
+        ids = ("c", "a", "b", "c", "a", "c", "d")
+        columns = ingest(write_csv(tmp_path, [HEADER, ROW])).columns
         with pytest.raises(ValueError) as exc:
-            make_record(**kw)
-        assert str(exc.value) == f"run r: {message}"
-
-    def test_rejects_bad_spc(self):
-        with pytest.raises(ValueError):
-            make_record(spc="half")
-
-    def test_table_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            RunTable(rows=(make_record("a"), make_record("a")))
-
-    def test_table_lists_each_duplicate_once_sorted(self):
-        ids = ["c", "a", "b", "c", "a", "c", "d"]
-        with pytest.raises(ValueError) as exc:
-            RunTable(rows=tuple(make_record(i) for i in ids))
+            RunTable({**{c: values * len(ids) for c, values in columns.items()}, "run_id": ids}, "")
         assert str(exc.value) == "duplicate run_id values: ['a', 'c']"
 
 
-class TestAggregateScore:
-    def test_constant(self):
-        s = aggregate_score({r: 0.5 for r in ("V1", "V2", "V4", "IT", "behavior")})
-        assert s.S == 0.5 and s.L == 0.5
-
-    def test_hand_values(self):
-        s = aggregate_score({"V1": 0.2, "V2": 0.3, "V4": 0.4, "IT": 0.5, "behavior": 0.6})
-        assert s.S == pytest.approx(0.4)
-        assert s.L == pytest.approx(0.6)
-        assert s.L == 1.0 - s.S  # exact complement
-
-    def test_perfect(self):
-        s = aggregate_score({r: 1.0 for r in ("V1", "V2", "V4", "IT", "behavior")})
-        assert s.S == 1.0 and s.L == 0.0
-
-    def test_missing_region(self):
-        with pytest.raises(ValueError, match="behavior"):
-            aggregate_score({"V1": 0.2, "V2": 0.3, "V4": 0.4, "IT": 0.5})
-
-    def test_permutation_invariant(self):
-        scores = {"V1": 0.11, "V2": 0.22, "V4": 0.33, "IT": 0.44, "behavior": 0.55}
-        shuffled = dict(reversed(list(scores.items())))
-        assert aggregate_score(scores) == aggregate_score(shuffled)
-
-
 class TestFilter:
-    def table(self):
-        return RunTable(
-            rows=(
-                make_record("a", family="ViT", spc=10),
-                make_record("b", family="ViT", spc=300),
-                make_record("c", family="ConvNeXt", spc="full"),
-                make_record("d", family="ResNet", spc=10),
-            )
-        )
+    @pytest.fixture
+    def table(self, tmp_path):
+        return ingest(table_file(tmp_path, (
+            make_record("a", family="ViT", spc=10),
+            make_record("b", family="ViT", spc=300),
+            make_record("c", family="ConvNeXt", spc="full"),
+            make_record("d", family="ResNet", spc=10),
+        )))
 
-    def test_restricted_rule(self):
-        out = filter_for_fit(self.table(), "convnext_vit_restricted")
-        assert [r.run_id for r in out] == ["b", "c", "d"]
+    def test_restricted_rule(self, table):
+        out = filter_for_fit(table, "convnext_vit_restricted")
+        assert [r.run_id for r in out.rows] == ["b", "c", "d"]
 
-    def test_identity_rule(self):
-        table = self.table()
+    def test_identity_rule(self, table):
         assert filter_for_fit(table, "none").rows == table.rows
 
-    def test_unknown_rule(self):
+    def test_unknown_rule(self, table):
         with pytest.raises(ValueError, match="unknown filter rule"):
-            filter_for_fit(self.table(), "nope")
+            filter_for_fit(table, "nope")
 
-    def test_subset_and_idempotent(self):
-        table = self.table()
+    def test_subset_and_idempotent(self, table):
         once = filter_for_fit(table, "convnext_vit_restricted")
         twice = filter_for_fit(once, "convnext_vit_restricted")
         ids = {r.run_id for r in table.rows}
@@ -645,17 +645,6 @@ REFERENCE_FILTERS = {
 }
 
 
-def reference_exports(recs) -> dict:
-    """The bytes export writes for records, by format, from json.dump and csv.DictWriter."""
-    as_json = io.StringIO()
-    json.dump([row_of(r) for r in recs], as_json, indent=2, sort_keys=True)
-    as_csv = io.StringIO(newline="")
-    writer = csv.DictWriter(as_csv, fieldnames=CSV_COLUMNS + OPTIONAL_COLUMNS)
-    writer.writeheader()
-    writer.writerows(row_of(r) for r in recs)
-    return {"json": (as_json.getvalue() + "\n").encode(), "csv": as_csv.getvalue().encode()}
-
-
 class TestTablePipeline:
     """ingest, seed averaging, filter_for_fit and export agree with a row-by-row reference."""
 
@@ -682,16 +671,12 @@ class TestTablePipeline:
                 lambda values: dict(zip(SCORE_COLUMNS, values))),
             "val_accuracy": st.one_of(st.none(), unit),
         })
-        runs = data.draw(st.lists(run, max_size=12))
-        want = [RunRecord(run_id=f"r{i}", **fields) for i, fields in enumerate(runs)]
-        if average:
-            want = reference_average(want)
+        drawn = data.draw(st.lists(run, max_size=12))
+        runs = [RunRecord(run_id=f"r{i}", **fields) for i, fields in enumerate(drawn)]
+        want = reference_average(runs) if average else runs
         if rule:
             want = [r for r in want if REFERENCE_FILTERS[rule](r)]
-        source = tmp_path / f"runs.{fmt}"
-        export(RunTable(rows=tuple(RunRecord(run_id=f"r{i}", **f) for i, f in enumerate(runs))),
-               source, format=fmt)
-        table = ingest(source, format=fmt, average_seeds=average)
+        table = ingest(table_file(tmp_path, runs, fmt, "runs"), format=fmt, average_seeds=average)
         if rule:
             table = filter_for_fit(table, rule)
         assert len(table) == len(want)
@@ -705,3 +690,35 @@ class TestTablePipeline:
         rows = [line(), line(run_id="r2", seed="1"), line(run_id="r1_seedavg", n_params="7")]
         with pytest.raises(ValueError, match=r"^duplicate run_id values: \['r1_seedavg'\]$"):
             ingest(write_csv(tmp_path, [HEADER, *rows]), average_seeds=True)
+
+
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+
+
+class TestRecordsAverageTool:
+    """tools/records_average.py loads records.py alone and writes ingest --average-seeds' bytes."""
+
+    def test_matches_cli_ingest(self, tmp_path):
+        rows = [
+            line(),
+            line(run_id="r2", seed="1", score_v1="0.33", flops="9.3e15"),
+            line(run_id="r3", n_params="7"),
+        ]
+        source = write_csv(tmp_path, [HEADER, *rows])
+        out, want = tmp_path / "tool.json", tmp_path / "cli.json"
+        tool = os.path.join(TOOLS, "records_average.py")
+        subprocess.run([sys.executable, tool, str(source), str(out)], check=True, capture_output=True)
+        argv = ["ingest", "--input", str(source), "--average-seeds", "--output", str(want),
+                "--output-format", "json"]
+        assert main(argv) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert json.loads(out.read_text())[0]["run_id"] == "r1_seedavg"
+
+    def test_records_module_imports_no_numpy(self):
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import records_average; "
+            "records_average.load_records(); print('numpy' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", probe, TOOLS], check=True,
+                                capture_output=True, text=True)
+        assert result.stdout == "False\n"

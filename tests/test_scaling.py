@@ -62,6 +62,17 @@ class TestFitConfig:
             FitConfig(**{name: grid})
 
 
+class TestRescale:
+    @pytest.mark.parametrize("name", ["c_scale", "n_scale", "d_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_factor_outside_open_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            Rescale(**{name: value})
+
+    def test_positive_finite_factors_accepted(self):
+        assert Rescale(1e-300, 1.0, 1e300).factor("samples") == 1e300
+
+
 class TestPointChecks:
     """Every form checks its points in one order: shape, then x_kind (forms in
     one resource x only), then values, then the counts rules."""

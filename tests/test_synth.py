@@ -87,6 +87,18 @@ class TestCurveGenerator:
         with pytest.raises(ValueError, match="positive"):
             gen_curve_points(g)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("form", ["power", "joint-n", "joint-d"])
+    def test_grid_values_positive_and_finite(self, form, bad):
+        grids = {"x_grid": (1.0, bad)} if form == "power" else {
+            "n_grid": (1.0, bad) if form == "joint-n" else (1.0, 2.0),
+            "d_grid": (1.0, bad) if form == "joint-d" else (1.0, 2.0),
+        }
+        params = {"E": 0.1, "A": 1.0, "alpha": 0.5, "B": 1.0, "beta": 0.5}
+        g = CurveGenerator(form=form[:5], true_params=params, **grids)
+        with pytest.raises(ValueError, match="^grids must be positive and finite$"):
+            gen_curve_points(g)
+
 
 class TestSubsampleCounts:
     def test_grid(self):
