@@ -556,12 +556,18 @@ class TestRecordInvariants:
         ({"flops": "-1", "samples_per_class": "0"}, "flops must be positive"),
         ({"samples_per_class": "0", "val_accuracy": "2"},
          "samples_per_class must be a positive integer or 'full', got 0"),
-        ({"flops": "inf", "val_accuracy": "nan"}, "flops must be positive"),
+        pytest.param({"score_v1": "1.5", "val_accuracy": "2"},
+                     "score 1.5 outside acceptable range [-0.05, 1.05]",
+                     id="kw4-score V1=1.5 outside [0, 1]"),
         ({"samples_seen": "-1", "flops": "nan"}, "samples_seen must be >= 1"),
         ({"val_accuracy": "nan"}, "val_accuracy outside [0, 1]"),
+        ({"flops": "inf", "val_accuracy": "nan"}, "flops must be positive"),
     ])
     def test_first_fault_message(self, tmp_path, kw, message):
-        assert bound_fault(tmp_path, **kw) == f"row 1: run r1: {message}"
+        """A row's first fault in check order. A score is checked as a cell, before the
+        run's bounds, so its message names no run."""
+        expected = message if message.startswith("score ") else f"run r1: {message}"
+        assert bound_fault(tmp_path, **kw) == f"row 1: {expected}"
 
     def test_rejects_bad_spc(self, tmp_path):
         error = bound_fault(tmp_path, samples_per_class="half")
